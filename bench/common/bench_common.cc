@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/flat_hash.h"
 #include "core/hash.h"
 #include "core/rng.h"
 #include "core/simd.h"
@@ -17,6 +19,7 @@
 #include "serve/estimator.h"
 #include "serve/snapshot.h"
 #include "sketch/group_count_sketch.h"
+#include "wavelet/sparse.h"
 
 namespace wavemr {
 namespace bench {
@@ -373,6 +376,82 @@ GcsUpdateKernelResult RunGcsUpdateKernel(const GcsUpdateKernelOptions& opt) {
   run_update(best_k.tier, &result.simd_update_items_per_sec,
              &result.simd_update_checksum);
 
+  return result;
+}
+
+// ------------------------------------------------------ sparse Haar kernel
+
+std::vector<WCoeff> SparseHaarHashSort(const SparseVector& v, uint64_t u) {
+  const uint32_t levels = Log2Floor(u);
+  FlatHashCounter<uint64_t, double> coeffs;
+  coeffs.reserve(v.size() * 2);
+
+  const double sqrt_u = std::sqrt(static_cast<double>(u));
+  std::vector<uint64_t> keys(v.size());
+  std::vector<double> weights(v.size());
+  size_t n = 0;
+  for (const auto& [key, weight] : v) {
+    coeffs[0] += weight / sqrt_u;
+    keys[n] = key;
+    weights[n] = weight;
+    ++n;
+  }
+  const SimdKernels& simd = SimdK();
+  std::vector<uint64_t> idx(n);
+  std::vector<double> val(n);
+  for (uint32_t j = 0; j < levels; ++j) {
+    const uint64_t block = u >> j;
+    simd.sparse_level(keys.data(), weights.data(), n, levels - j, block - 1,
+                      block / 2, uint64_t{1} << j,
+                      std::sqrt(static_cast<double>(block)), idx.data(),
+                      val.data());
+    for (size_t i = 0; i < n; ++i) coeffs[idx[i]] += val[i];
+  }
+
+  std::vector<WCoeff> out;
+  out.reserve(coeffs.size());
+  for (const auto& [index, value] : coeffs) {
+    if (value != 0.0) out.push_back({index, value});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const WCoeff& a, const WCoeff& b) { return a.index < b.index; });
+  return out;
+}
+
+SparseHaarKernelResult RunSparseHaarKernel(const SparseHaarKernelOptions& opt) {
+  using Clock = std::chrono::steady_clock;
+  ZipfDatasetOptions zipf;
+  zipf.num_records = opt.num_records;
+  zipf.domain_size = opt.domain;
+  zipf.alpha = opt.alpha;
+  zipf.num_splits = opt.num_splits;
+  zipf.seed = opt.seed;
+  zipf.cache_keys = false;
+  ZipfDataset ds(zipf);
+  std::vector<SparseVector> splits;
+  SparseHaarKernelResult result;
+  for (uint64_t j = 0; j < opt.num_splits; ++j) {
+    splits.push_back(ToSparseVector(BuildSplitFrequencyMap(ds, j)));
+    result.entries += splits.back().size();
+  }
+
+  auto run = [&](auto transform, double* rate, uint64_t* sum) {
+    for (size_t shot = 0; shot < opt.shots; ++shot) {
+      uint64_t checksum = 0;
+      const auto t0 = Clock::now();
+      for (const SparseVector& v : splits) {
+        for (const WCoeff& c : transform(v, opt.domain)) {
+          checksum = FoldPair(checksum, c.index, std::bit_cast<uint64_t>(c.value));
+        }
+      }
+      const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+      *rate = std::max(*rate, static_cast<double>(result.entries) / s);
+      *sum = checksum;
+    }
+  };
+  run(SparseHaar, &result.flat_entries_per_sec, &result.flat_checksum);
+  run(SparseHaarHashSort, &result.hash_sort_entries_per_sec,
+      &result.hash_sort_checksum);
   return result;
 }
 

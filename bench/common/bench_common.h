@@ -113,7 +113,9 @@ struct BenchRecord {
   /// hashed items/sec through the best SIMD tier (scalar when the host has
   /// no vector tier). In the checked-in baseline, items_per_sec is the CI
   /// floor and min_speedup the required SIMD-vs-scalar ratio (not gated on
-  /// scalar-only hosts).
+  /// scalar-only hosts). Sparse Haar kernel rows ("sparse-haar-kernel")
+  /// reuse both: input entries/sec through SparseHaar, and its required
+  /// ratio over the hash-and-sort reference.
   double items_per_sec = 0.0;
   /// Serve rows only (algorithm == "serve-load"): closed-loop query
   /// throughput against a running wavemr_serve, and its latency tail. In
@@ -289,6 +291,45 @@ struct GcsUpdateKernelResult {
 };
 
 GcsUpdateKernelResult RunGcsUpdateKernel(const GcsUpdateKernelOptions& opt);
+
+/// The sparse Haar kernel: the exact methods' per-split transform (Send-Coef
+/// and H-WTopk round-1 mappers), isolated. Every split's frequency vector of
+/// a Zipf dataset goes through SparseHaar (index-addressed level
+/// accumulators) and through SparseHaarHashSort, the hash-and-sort path it
+/// replaced. Checksums fold every output coefficient's index and value bits
+/// in output order, so equal checksums prove the two paths emit the same
+/// coefficients in the same order. Rates are the best of `shots` timed
+/// passes over all splits.
+struct SparseHaarKernelOptions {
+  uint64_t num_records = uint64_t{1} << 22;
+  uint64_t domain = uint64_t{1} << 17;
+  uint64_t num_splits = 64;
+  double alpha = 1.1;
+  uint64_t seed = 42;
+  size_t shots = 3;
+};
+
+struct SparseHaarKernelResult {
+  uint64_t entries = 0;  ///< input (key, weight) entries over all splits
+  double flat_entries_per_sec = 0.0;
+  double hash_sort_entries_per_sec = 0.0;
+  uint64_t flat_checksum = 0;
+  uint64_t hash_sort_checksum = 0;
+
+  double Speedup() const {
+    return hash_sort_entries_per_sec > 0.0
+               ? flat_entries_per_sec / hash_sort_entries_per_sec
+               : 0.0;
+  }
+};
+
+SparseHaarKernelResult RunSparseHaarKernel(const SparseHaarKernelOptions& opt);
+
+/// Reference for the sparse-haar-kernel record: the sparse Haar transform as
+/// it ran before its level accumulators became index-addressed. Every
+/// coefficient goes through one FlatHashCounter, then the whole output is
+/// sorted by index. Same output bits as SparseHaar.
+std::vector<WCoeff> SparseHaarHashSort(const SparseVector& v, uint64_t u);
 
 /// Aligned fixed-width table printer (one per sub-figure).
 class Table {

@@ -32,6 +32,13 @@
 //     vector tier is available -- beat the scalar tier by the record's
 //     min_speedup (scalar-only hosts report instead of gating, like the
 //     single-core skew-reduce case);
+//   * sparse haar kernel: SparseHaar's index-addressed level accumulators
+//     must reproduce the hash-and-sort reference path's output exactly
+//     (checksum over every coefficient's index and bits, enforced baseline
+//     or not) and, when the baseline has a "sparse-haar-kernel" record,
+//     beat it by min_speedup over the per-split transforms of the exact
+//     methods' mappers, at no less than items_per_sec input entries/s
+//     (minus --rps-tolerance);
 //   * skew reduce: when the baseline has a "skew-reduce" record, Send-V
 //     without a combiner over Zipf s=1.2 keys (per-record pairs, forced
 //     sorted shuffle, a buffer small enough to force spills) must keep the
@@ -388,6 +395,32 @@ int Main(int argc, char** argv) {
     reporter.Add(std::move(kr));
   }
 
+  // Sparse Haar kernel: the per-split transforms of the exact methods'
+  // mappers through SparseHaar and through the hash-and-sort reference it
+  // replaced. Equal checksums are the bit-identity contract, enforced
+  // baseline or not.
+  const SparseHaarKernelResult haar = RunSparseHaarKernel(SparseHaarKernelOptions{});
+  std::printf(
+      "sparse-haar-kernel: flat %.3e entries/s, hash-and-sort %.3e entries/s "
+      "(%.2fx) over %llu entries\n",
+      haar.flat_entries_per_sec, haar.hash_sort_entries_per_sec, haar.Speedup(),
+      static_cast<unsigned long long>(haar.entries));
+  if (haar.flat_checksum != haar.hash_sort_checksum) {
+    std::fprintf(stderr,
+                 "FAIL sparse-haar-kernel: flat checksum %llx != hash-and-sort "
+                 "checksum %llx\n",
+                 static_cast<unsigned long long>(haar.flat_checksum),
+                 static_cast<unsigned long long>(haar.hash_sort_checksum));
+    failed = true;
+  }
+  {
+    BenchRecord kr;
+    kr.algorithm = "sparse-haar-kernel";
+    kr.threads = 1;
+    kr.items_per_sec = haar.flat_entries_per_sec;
+    reporter.Add(std::move(kr));
+  }
+
   // Skew reduce: the equi-depth partitioning proof. Zipf s=1.2 keys,
   // Send-V with the combiner off (one pair per record -- the rawest key
   // skew the engine can see), forced sorted shuffle, and a buffer small
@@ -592,6 +625,38 @@ int Main(int argc, char** argv) {
             std::printf("ok   gcs-update-kernel: %.3e items/s within baseline "
                         "%.3e items/s (-%.0f%%)\n",
                         gcs.simd_hash_items_per_sec, b.items_per_sec,
+                        opt.rps_tolerance * 100.0);
+          }
+        }
+        continue;
+      }
+      if (b.algorithm == "sparse-haar-kernel") {
+        if (b.min_speedup > 0.0) {
+          if (haar.Speedup() < b.min_speedup) {
+            std::fprintf(stderr,
+                         "FAIL sparse-haar-kernel: %.2fx vs hash-and-sort "
+                         "below required %.2fx\n",
+                         haar.Speedup(), b.min_speedup);
+            failed = true;
+          } else {
+            std::printf("ok   sparse-haar-kernel: %.2fx vs hash-and-sort "
+                        "(need %.2fx)\n",
+                        haar.Speedup(), b.min_speedup);
+          }
+        }
+        if (b.items_per_sec > 0.0) {
+          double floor = b.items_per_sec * (1.0 - opt.rps_tolerance);
+          if (haar.flat_entries_per_sec < floor) {
+            std::fprintf(stderr,
+                         "FAIL sparse-haar-kernel: %.3e entries/s below "
+                         "baseline %.3e entries/s (-%.0f%% tolerance => %.3e)\n",
+                         haar.flat_entries_per_sec, b.items_per_sec,
+                         opt.rps_tolerance * 100.0, floor);
+            failed = true;
+          } else {
+            std::printf("ok   sparse-haar-kernel: %.3e entries/s within "
+                        "baseline %.3e entries/s (-%.0f%%)\n",
+                        haar.flat_entries_per_sec, b.items_per_sec,
                         opt.rps_tolerance * 100.0);
           }
         }

@@ -94,7 +94,7 @@ struct SimdKernels {
   ///   idx_out[i] = base + k;
   ///   val_out[i] = offset < half ? -mag : mag;
   /// Division and sign flip are IEEE-exact, so tiers agree bit for bit. The
-  /// caller applies idx/val to the coefficient map in input order.
+  /// caller adds val_out[i] into coefficient idx_out[i] in input order.
   void (*sparse_level)(const uint64_t* keys, const double* weights, size_t n,
                        uint32_t shift, uint64_t block_mask, uint64_t half,
                        uint64_t base, double sqrt_block, uint64_t* idx_out,

@@ -2,8 +2,7 @@
 #define WAVEMR_WAVELET_SPARSE_H_
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "wavelet/coefficient.h"
@@ -15,22 +14,15 @@ namespace wavemr {
 /// counts and sampled estimates.
 using SparseVector = std::vector<std::pair<uint64_t, double>>;
 
-/// Sparse forward Haar transform in O(|v| log u) time and O(output) space:
-/// each nonzero entry contributes to exactly log2(u)+1 coefficients (its
-/// error-tree path). This is the algorithm of Gilbert et al. [20] that the
-/// paper uses inside mappers instead of the O(u) dense transform.
+/// Sparse forward Haar transform in O(|v| log u) time and
+/// O(min(u, 8·|v|) + output) space: each nonzero entry contributes to
+/// exactly log2(u)+1 coefficients (its error-tree path). This is the
+/// algorithm of Gilbert et al. [20] that the paper uses inside mappers
+/// instead of the O(u) dense transform. The coarse levels accumulate in one
+/// index-addressed array; only levels wider than that array hash.
 /// Returns the nonzero coefficients, sorted by index.
 /// u must be a power of two; all keys must be < u.
 std::vector<WCoeff> SparseHaar(const SparseVector& v, uint64_t u);
-
-/// Same as SparseHaar but returns the coefficient map (useful when the
-/// caller keeps accumulating).
-std::unordered_map<uint64_t, double> SparseHaarMap(const SparseVector& v, uint64_t u);
-
-/// Adds the contribution of a single point update v(x) += weight into an
-/// accumulator map of coefficients. O(log u).
-void AccumulatePointUpdate(uint64_t x, double weight, uint64_t u,
-                           std::unordered_map<uint64_t, double>* coeffs);
 
 /// Number of coefficient updates a point update performs (log2(u) + 1);
 /// exposed so cost accounting in the MapReduce layer matches the algorithm.

@@ -324,7 +324,9 @@ TEST_F(AsyncSpillTest, ExhaustedRetriesLeaveSpillDirEmpty) {
     const std::vector<Pair> got = Drain(*plane);
     EXPECT_EQ(got.size(), 8u * 2000u);
   }
-  if (dir.created()) EXPECT_EQ(FilesIn(dir.path()), 0u);
+  if (dir.created()) {
+    EXPECT_EQ(FilesIn(dir.path()), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +343,9 @@ TEST_F(AsyncSpillTest, SubmitFailpointPinsRunBeforeSubmission) {
   EXPECT_EQ(plane->spill_retries(), 0u) << "rejected before any write ran";
   Failpoints::DisarmAll();
   EXPECT_EQ(Drain(*plane).size(), 8u * 2000u);
-  if (dir.created()) EXPECT_EQ(FilesIn(dir.path()), 0u);
+  if (dir.created()) {
+    EXPECT_EQ(FilesIn(dir.path()), 0u);
+  }
 }
 
 TEST_F(AsyncSpillTest, CompleteFailpointRemovesFileAndFallsBack) {

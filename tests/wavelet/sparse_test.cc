@@ -4,8 +4,10 @@
 
 #include <unordered_map>
 
+#include "core/bitops.h"
 #include "core/rng.h"
 #include "core/simd.h"
+#include "sparse_reference.h"
 #include "wavelet/haar.h"
 
 namespace wavemr {
@@ -67,8 +69,8 @@ TEST(SparseHaarTest, PointUpdateFanout) {
 TEST(SparseHaarTest, AccumulateIsAdditive) {
   const uint64_t u = 128;
   std::unordered_map<uint64_t, double> acc;
-  AccumulatePointUpdate(10, 3.0, u, &acc);
-  AccumulatePointUpdate(10, -3.0, u, &acc);
+  reference::AccumulatePointUpdate(10, 3.0, u, &acc);
+  reference::AccumulatePointUpdate(10, -3.0, u, &acc);
   for (const auto& [idx, val] : acc) EXPECT_NEAR(val, 0.0, 1e-12);
 }
 
@@ -76,61 +78,128 @@ TEST(SparseHaarTest, EmptyInputYieldsNothing) {
   EXPECT_TRUE(SparseHaar({}, 64).empty());
 }
 
+SparseVector RandomVector(uint64_t seed, uint64_t u, int n) {
+  Rng rng(seed);
+  SparseVector v;
+  for (int i = 0; i < n; ++i) {
+    v.emplace_back(rng.NextBounded(u), (rng.NextDouble() - 0.5) * 100.0);
+  }
+  return v;
+}
+
+// Exact comparison against the key-major reference: every nonzero reference
+// coefficient is present with the same bits, every coefficient that
+// cancelled to zero is absent, nothing else is emitted, and the output
+// ascends strictly by index.
+void ExpectMatchesReferenceBitwise(const SparseVector& v, uint64_t u,
+                                   const std::vector<WCoeff>& got) {
+  std::unordered_map<uint64_t, double> want = reference::SparseHaarMap(v, u);
+  size_t want_nonzero = 0;
+  for (const auto& [idx, val] : want) want_nonzero += val != 0.0;
+  ASSERT_EQ(got.size(), want_nonzero);
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (i > 0) {
+      ASSERT_LT(got[i - 1].index, got[i].index) << "position " << i;
+    }
+    EXPECT_NE(got[i].value, 0.0) << "index " << got[i].index;
+    auto it = want.find(got[i].index);
+    ASSERT_NE(it, want.end()) << "index " << got[i].index;
+    ASSERT_EQ(got[i].value, it->second) << "index " << got[i].index;  // exact
+  }
+}
+
+// The forced-scalar and the best SIMD tier must both equal the reference.
+void ExpectAllTiersMatchReference(const SparseVector& v, uint64_t u) {
+  for (SimdTier tier : {SimdTier::kScalar, BestSimdTier()}) {
+    SCOPED_TRACE(SimdTierName(tier));
+    OverrideSimdTierForTest(tier);
+    std::vector<WCoeff> got = SparseHaar(v, u);
+    OverrideSimdTierForTest(ActiveSimdTier());
+    ExpectMatchesReferenceBitwise(v, u, got);
+  }
+}
+
 TEST(SparseHaarTest, LevelMajorMatchesScalarPathBitwise) {
   // SparseHaar's level-major restructuring (hoisted sqrt, shift/mask block
-  // math) must accumulate every coefficient in the same order as the
-  // key-major scalar path, so the two agree exactly -- not just to within a
-  // tolerance. SparseHaarMap/AccumulatePointUpdate is that scalar path.
+  // math, index-addressed accumulation) must add every coefficient in the
+  // same order as the key-major reference, so the two agree exactly -- not
+  // just to within a tolerance. u = 2^12 with 500 entries is the all-dense
+  // regime: every level fits the flat accumulator.
   for (uint64_t seed : {11u, 12u, 13u}) {
-    Rng rng(seed);
-    const uint64_t u = 4096;
-    SparseVector v;
-    for (int i = 0; i < 500; ++i) {
-      v.emplace_back(rng.NextBounded(u), (rng.NextDouble() - 0.5) * 100.0);
-    }
-    std::unordered_map<uint64_t, double> want = SparseHaarMap(v, u);
-    std::vector<WCoeff> got = SparseHaar(v, u);
-    std::unordered_map<uint64_t, double> got_map;
-    for (const WCoeff& w : got) {
-      EXPECT_NE(w.value, 0.0);
-      got_map[w.index] = w.value;
-    }
-    for (const auto& [idx, val] : want) {
-      if (val == 0.0) {
-        EXPECT_EQ(got_map.count(idx), 0u) << "index " << idx;
-      } else {
-        ASSERT_EQ(got_map.count(idx), 1u) << "index " << idx;
-        EXPECT_EQ(got_map[idx], val) << "index " << idx;  // exact
-      }
-    }
-    EXPECT_LE(got_map.size(), want.size());
+    SCOPED_TRACE(seed);
+    ExpectAllTiersMatchReference(RandomVector(seed, 4096, 500), 4096);
   }
 }
 
 TEST(SparseHaarTest, SimdTiersMatchScalarPathBitwise) {
   // The level pass runs through the dispatched SIMD kernel; forced-scalar
-  // and best-tier transforms must agree bit for bit with each other and
-  // with the key-major AccumulatePointUpdate path.
-  Rng rng(77);
-  const uint64_t u = 8192;
-  SparseVector v;
-  for (int i = 0; i < 700; ++i) {
-    v.emplace_back(rng.NextBounded(u), (rng.NextDouble() - 0.5) * 50.0);
+  // and best-tier transforms must both equal the key-major reference, and
+  // hence each other, bit for bit.
+  ExpectAllTiersMatchReference(RandomVector(77, 8192, 700), 8192);
+}
+
+TEST(SparseHaarTest, HybridRegimeMatchesReferenceBitwise) {
+  // u = 2^20 with few entries: the coarse levels are index-addressed, the
+  // wide ones hash level by level.
+  const uint64_t u = uint64_t{1} << 20;
+  for (uint64_t seed : {21u, 22u}) {
+    SCOPED_TRACE(seed);
+    ExpectAllTiersMatchReference(RandomVector(seed, u, 100), u);
   }
-  std::unordered_map<uint64_t, double> want = SparseHaarMap(v, u);
-  OverrideSimdTierForTest(SimdTier::kScalar);
-  std::vector<WCoeff> scalar = SparseHaar(v, u);
-  OverrideSimdTierForTest(BestSimdTier());
-  std::vector<WCoeff> best = SparseHaar(v, u);
-  OverrideSimdTierForTest(ActiveSimdTier());
-  ASSERT_EQ(scalar.size(), best.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(scalar[i].index, best[i].index);
-    ASSERT_EQ(scalar[i].value, best[i].value)
-        << "index " << scalar[i].index
-        << " tier=" << SimdTierName(BestSimdTier());
-    ASSERT_EQ(want.at(scalar[i].index), scalar[i].value);
+  ExpectAllTiersMatchReference(RandomVector(23, u, 2000), u);
+  // Clustered keys: the hashed levels see many keys per coefficient.
+  SparseVector clustered;
+  Rng rng(24);
+  for (int i = 0; i < 300; ++i) {
+    clustered.emplace_back(rng.NextBounded(512) * 2048 + rng.NextBounded(8),
+                           1.0 + static_cast<double>(rng.NextBounded(9)));
   }
+  ExpectAllTiersMatchReference(clustered, u);
+}
+
+TEST(SparseHaarTest, EdgeCasesMatchReferenceBitwise) {
+  const uint64_t big = uint64_t{1} << 20;
+  ExpectAllTiersMatchReference({}, 64);
+  ExpectAllTiersMatchReference({}, big);
+  ExpectAllTiersMatchReference({{0, 3.0}, {1, -1.25}}, 2);
+  ExpectAllTiersMatchReference({{1, 0.5}}, 2);
+  // Every key equal: the same path accumulates in input order.
+  ExpectAllTiersMatchReference({{777, 1.5}, {777, -0.25}, {777, 3.0}, {777, 0.125}},
+                               1024);
+  ExpectAllTiersMatchReference({{0, 2.5}, {4095, -7.0}}, 4096);
+  ExpectAllTiersMatchReference({{0, 2.5}, {big - 1, -7.0}}, big);
+}
+
+TEST(SparseHaarTest, CancelledCoefficientsAreAbsent) {
+  // Equal weights on the two children of every finest-level pair cancel
+  // those detail coefficients exactly.
+  SparseVector pairs;
+  for (uint64_t i = 0; i < 32; ++i) {
+    const double w = 1.0 + static_cast<double>(i % 5);
+    pairs.emplace_back(4 * i, w);
+    pairs.emplace_back(4 * i + 1, w);
+  }
+  ExpectAllTiersMatchReference(pairs, 256);
+  for (const WCoeff& c : SparseHaar(pairs, 256)) {
+    EXPECT_LT(c.index, 128u) << "finest-level coefficient did not cancel";
+  }
+
+  // Opposite weights cancel the average (index 0); in a huge domain the
+  // same happens on the hashed levels for a key and its negation.
+  std::vector<WCoeff> avg = SparseHaar({{3, 1.5}, {200, -1.5}}, 256);
+  ExpectMatchesReferenceBitwise({{3, 1.5}, {200, -1.5}}, 256, avg);
+  ASSERT_FALSE(avg.empty());
+  EXPECT_NE(avg.front().index, 0u);
+
+  const uint64_t big = uint64_t{1} << 20;
+  SparseVector hashed_cancel = {{big - 2, 4.0}, {big - 1, 4.0}, {5, 1.0}};
+  ExpectAllTiersMatchReference(hashed_cancel, big);
+  for (const WCoeff& c : SparseHaar(hashed_cancel, big)) {
+    EXPECT_NE(c.index, (big >> 1) + ((big - 2) >> 1)) << "hashed level kept a zero";
+  }
+
+  // A point update and its negation cancel everything.
+  EXPECT_TRUE(SparseHaar({{10, 3.0}, {10, -3.0}}, 128).empty());
 }
 
 TEST(SparseHaarTest, NegativeWeightsSupported) {

@@ -116,10 +116,12 @@ int BuildMain(int argc, char** argv, int start) {
   // Engine line, "spill"-prefixed so bit-identity diffs that compare sync
   // vs async runs filter it with the other spill/timing lines.
   std::printf("spill io    : %s (queue %d, prefetch %d)\n",
-              IoBackendKindName(IoOptions{*io_backend, 0,
-                                          build.io_queue_depth,
-                                          build.io_prefetch_depth}
-                                    .ResolvedBackend()),
+              IoBackendKindName(
+                  IoOptions{.backend = *io_backend,
+                            .queue_depth = build.io_queue_depth,
+                            .prefetch_depth = build.io_prefetch_depth,
+                            .retry = {}}
+                      .ResolvedBackend()),
               build.io_queue_depth, build.io_prefetch_depth);
   // Recovery telemetry (0/0 on a healthy disk; environment-dependent, so
   // bit-identity diffs must filter this line like the timing lines).
