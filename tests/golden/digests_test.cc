@@ -7,8 +7,10 @@
 //   * SparseHaar's coefficient bits on the dense-array and hashed-level
 //     regimes and the edge cases (empty, u=2, repeated keys, domain
 //     endpoints, exact cancellation);
-//   * every algorithm on a small Zipf dataset: synopsis coefficient bits,
-//     total communication bytes and simulated seconds (as IEEE bits).
+//   * every algorithm on a small Zipf dataset and on the edge datasets
+//     (n=0, all-equal keys, u=2, a sparse Zipf over u=2^20): synopsis
+//     coefficient bits, total communication bytes and simulated seconds (as
+//     IEEE bits).
 //
 // digests.txt changes only together with a change that explains why the
 // output bits moved. To regenerate it, run this binary with
@@ -104,22 +106,59 @@ ZipfDataset GoldenDataset() {
   return ZipfDataset(opt);
 }
 
-void AddAlgorithmDigests(Digests* out) {
-  ZipfDataset ds = GoldenDataset();
-  (*out)["zipf.true_coefficients"] = CoeffDigest(TrueCoefficients(ds));
+/// A few thousand distinct keys scattered over a 2^20 domain: the regime
+/// where SparseHaar hashes its widest levels and the sketch is mostly empty.
+ZipfDataset SparseZipfDataset() {
+  ZipfDatasetOptions opt;
+  opt.num_records = 1 << 14;
+  opt.domain_size = uint64_t{1} << 20;
+  opt.alpha = 1.1;
+  opt.num_splits = 8;
+  opt.seed = 2012;
+  return ZipfDataset(opt);
+}
+
+InMemoryDataset EmptyDataset() {
+  return InMemoryDataset(std::vector<std::vector<uint64_t>>(4), 1 << 8);
+}
+
+InMemoryDataset AllEqualKeysDataset() {
+  std::vector<std::vector<uint64_t>> splits(4);
+  for (auto& split : splits) split.assign(700, 37);
+  return InMemoryDataset(std::move(splits), 1 << 10);
+}
+
+InMemoryDataset U2Dataset() {
+  return InMemoryDataset({{0, 1, 1, 0, 1}, {1, 1, 1}, {0}, {}}, 2);
+}
+
+/// Digests of `ds` itself and of every algorithm's synopsis on it, keyed
+/// "<prefix>.<algorithm>.<field>".
+void AddAlgorithmDigests(const std::string& prefix, const Dataset& ds,
+                         Digests* out) {
+  (*out)[prefix + ".true_coefficients"] = CoeffDigest(TrueCoefficients(ds));
   for (AlgorithmKind kind : AllAlgorithms()) {
     BuildOptions opt;
     opt.k = 20;
     opt.epsilon = 0.05;
     opt.seed = 1234;
     auto result = BuildWaveletHistogram(ds, kind, opt);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::string prefix = std::string("zipf.") + AlgorithmName(kind) + ".";
-    (*out)[prefix + "coefficients"] = CoeffDigest(result->histogram.coefficients());
-    (*out)[prefix + "comm_bytes"] = std::to_string(result->stats.TotalCommBytes());
-    (*out)[prefix + "simulated_seconds"] =
+    ASSERT_TRUE(result.ok()) << prefix << " " << AlgorithmName(kind) << ": "
+                             << result.status().ToString();
+    const std::string key = prefix + "." + AlgorithmName(kind) + ".";
+    (*out)[key + "coefficients"] = CoeffDigest(result->histogram.coefficients());
+    (*out)[key + "comm_bytes"] = std::to_string(result->stats.TotalCommBytes());
+    (*out)[key + "simulated_seconds"] =
         Hex(std::bit_cast<uint64_t>(result->stats.TotalSeconds()));
   }
+}
+
+void AddAllAlgorithmDigests(Digests* out) {
+  AddAlgorithmDigests("zipf", GoldenDataset(), out);
+  AddAlgorithmDigests("empty", EmptyDataset(), out);
+  AddAlgorithmDigests("all_equal", AllEqualKeysDataset(), out);
+  AddAlgorithmDigests("u2", U2Dataset(), out);
+  AddAlgorithmDigests("sparse_zipf_u1048576", SparseZipfDataset(), out);
 }
 
 Digests ReadGoldenFile() {
@@ -164,14 +203,38 @@ TEST(GoldenDigestsTest, SparseHaarMatchesGolden) {
 
 TEST(GoldenDigestsTest, AlgorithmsMatchGolden) {
   Digests got;
-  AddAlgorithmDigests(&got);
+  AddAlgorithmDigests("zipf", GoldenDataset(), &got);
   ExpectMatchesGolden(got, "zipf.");
+}
+
+TEST(GoldenDigestsTest, AlgorithmsOnEmptyDatasetMatchGolden) {
+  Digests got;
+  AddAlgorithmDigests("empty", EmptyDataset(), &got);
+  ExpectMatchesGolden(got, "empty.");
+}
+
+TEST(GoldenDigestsTest, AlgorithmsOnAllEqualKeysMatchGolden) {
+  Digests got;
+  AddAlgorithmDigests("all_equal", AllEqualKeysDataset(), &got);
+  ExpectMatchesGolden(got, "all_equal.");
+}
+
+TEST(GoldenDigestsTest, AlgorithmsOnTwoKeyDomainMatchGolden) {
+  Digests got;
+  AddAlgorithmDigests("u2", U2Dataset(), &got);
+  ExpectMatchesGolden(got, "u2.");
+}
+
+TEST(GoldenDigestsTest, AlgorithmsOnSparseWideDomainMatchGolden) {
+  Digests got;
+  AddAlgorithmDigests("sparse_zipf_u1048576", SparseZipfDataset(), &got);
+  ExpectMatchesGolden(got, "sparse_zipf_u1048576.");
 }
 
 TEST(GoldenDigestsTest, DISABLED_PrintDigests) {
   Digests got;
   AddSparseHaarDigests(&got);
-  AddAlgorithmDigests(&got);
+  AddAllAlgorithmDigests(&got);
   std::printf("---- digests.txt ----\n");
   for (const auto& [key, value] : got) {
     std::printf("%s %s\n", key.c_str(), value.c_str());
