@@ -5,7 +5,8 @@
 //               on generated (cold) and materialized (warm) Zipf data;
 //   count       std::unordered_map vs FlatHashCounter frequency counting;
 //   gcs         scalar GroupCountSketch::Update vs the batched kernel
-//               (UpdateBatch), plus the full WaveletGcs::UpdateData path;
+//               (UpdateBatch), plus the full WaveletGcs::UpdateData path
+//               and the Send-Sketch mapper's UpdateSortedData path;
 //   shuffle     the sorted-shuffle driver path: pair-vector global
 //               stable_sort vs columnar per-run radix sort + loser-tree
 //               merge (mapreduce/shuffle.h), plus the merge-only
@@ -30,6 +31,7 @@
 #include <fstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flat_hash.h"
@@ -269,6 +271,30 @@ void BenchGcs(uint64_t n) {
   std::vector<Row> grows;
   grows.push_back({"WaveletGcs::UpdateData", static_cast<double>(points) / s,
                    tracker.NonzeroCounters()});
+
+  // Send-Sketch's mapper path on the same points: distinct keys in ascending
+  // order, each nonzero Haar coefficient sketched once. Timed from the
+  // unsorted points, so the sort the mapper pays is included.
+  WaveletGcs sorted_tracker(u, gopt);
+  t0 = Clock::now();
+  std::vector<std::pair<uint64_t, double>> points_by_key;
+  points_by_key.reserve(points);
+  for (uint64_t i = 0; i < points; ++i) points_by_key.emplace_back(items[i], values[i]);
+  std::sort(points_by_key.begin(), points_by_key.end());
+  std::vector<uint64_t> keys;
+  std::vector<double> weights;
+  for (const auto& [key, value] : points_by_key) {
+    if (!keys.empty() && keys.back() == key) {
+      weights.back() += value;
+    } else {
+      keys.push_back(key);
+      weights.push_back(value);
+    }
+  }
+  sorted_tracker.UpdateSortedData(keys.data(), weights.data(), keys.size());
+  s = SecondsSince(t0);
+  grows.push_back({"WaveletGcs::UpdateSortedData", static_cast<double>(points) / s,
+                   sorted_tracker.NonzeroCounters()});
   PrintRows("hierarchical tracker (points/s)", grows);
 }
 

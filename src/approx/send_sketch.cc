@@ -1,6 +1,8 @@
 #include "approx/send_sketch.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/flat_hash.h"
 #include "core/rng.h"
@@ -29,13 +31,22 @@ class SketchMapper : public MapperBase<SketchMapper, uint64_t, double> {
     });
 
     WaveletGcs sketch(u_, gcs_options_);
-    // One sketch update per distinct key, weighted by its count.
+    // The simulated cost is the paper's mapper: one sketch update per
+    // distinct key, weighted by its count.
     ctx.ChargeCpuNs(static_cast<double>(freq.size()) *
                     static_cast<double>(sketch.CounterUpdatesPerDataPoint()) *
                     kSketchCounterNs);
-    for (const auto& [key, count] : freq) {
-      sketch.UpdateData(key, static_cast<double>(count));
+    // The real work sketches the split's nonzero Haar coefficients once each,
+    // which needs the distinct keys in ascending order.
+    std::vector<std::pair<uint64_t, uint64_t>> counts(freq.begin(), freq.end());
+    std::sort(counts.begin(), counts.end());
+    std::vector<uint64_t> keys(counts.size());
+    std::vector<double> weights(counts.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      keys[i] = counts[i].first;
+      weights[i] = static_cast<double>(counts[i].second);
     }
+    sketch.UpdateSortedData(keys.data(), weights.data(), keys.size());
     sketch.ForEachNonzeroCounter(
         [&ctx](uint64_t flat_index, double value) { ctx.Emit(flat_index, value); });
   }
@@ -72,6 +83,12 @@ class SketchReducer : public Reducer<uint64_t, double> {
 
 }  // namespace
 
+WaveletGcsOptions SendSketchGcsOptions(const BuildOptions& options) {
+  WaveletGcsOptions gcs = options.gcs;
+  gcs.seed = Mix64(options.seed ^ 0x9c75e5eed123ULL);
+  return gcs;
+}
+
 StatusOr<BuildResult> SendSketch::Build(const Dataset& dataset,
                                         const BuildOptions& options) {
   MrEnv env;
@@ -82,10 +99,7 @@ StatusOr<BuildResult> SendSketch::Build(const Dataset& dataset,
   env.reduce_tasks = options.reduce_tasks;
 
   const uint64_t u = dataset.info().domain_size;
-  // All mappers and the reducer must draw identical hash functions; derive
-  // the sketch seed from the run seed.
-  WaveletGcsOptions gcs = options.gcs;
-  gcs.seed = Mix64(options.seed ^ 0x9c75e5eed123ULL);
+  const WaveletGcsOptions gcs = SendSketchGcsOptions(options);
 
   SketchReducer reducer(u, options.k, gcs);
   JobPlan<uint64_t, double> plan;

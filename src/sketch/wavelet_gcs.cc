@@ -5,6 +5,7 @@
 
 #include "core/bitops.h"
 #include "core/logging.h"
+#include "core/simd.h"
 #include "wavelet/topk.h"
 
 namespace wavemr {
@@ -62,11 +63,59 @@ void WaveletGcs::UpdateData(uint64_t x, double count) {
     indices[j + 1] = (uint64_t{1} << j) + k;
     deltas[j + 1] = (offset < block / 2) ? -mag : mag;
   }
-  const size_t n = bits + 1;
+  ApplyCoeffBatch(indices, deltas, bits + 1);
+}
+
+void WaveletGcs::UpdateSortedData(const uint64_t* keys, const double* weights,
+                                  size_t n) {
+  if (n == 0) return;
+  const uint32_t bits = Log2Floor(u_);
+  // The sketch is linear, so the data's sparse Haar transform is sketched
+  // directly: each nonzero coefficient enters every sketch level once,
+  // instead of once per key whose error-tree path crosses it. Coefficients
+  // are produced level by level exactly as SparseHaar produces them (same
+  // kernel, same per-coefficient add order: ascending keys), and each merged
+  // level is one ascending batch per sketch level, which maximizes the
+  // group-hash reuse and the low-index memo in UpdateBatch.
+  const double sqrt_u = std::sqrt(static_cast<double>(u_));
+  double average = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    WAVEMR_DCHECK(keys[i] < u_);
+    WAVEMR_DCHECK(i == 0 || keys[i - 1] < keys[i]);
+    average += weights[i] / sqrt_u;
+  }
+  const uint64_t root = 0;
+  if (average != 0.0) ApplyCoeffBatch(&root, &average, 1);
+
+  const SimdKernels& simd = SimdK();
+  std::vector<uint64_t> idx(n);
+  std::vector<double> val(n);
+  for (uint32_t j = 0; j < bits; ++j) {
+    const uint64_t block = u_ >> j;
+    simd.sparse_level(keys, weights, n, bits - j, block - 1, block / 2,
+                      uint64_t{1} << j, std::sqrt(static_cast<double>(block)),
+                      idx.data(), val.data());
+    // Ascending keys give non-decreasing indices: fold each run of equal
+    // indices in place and drop coefficients that cancel exactly.
+    size_t m = 0;
+    for (size_t i = 0; i < n;) {
+      const uint64_t index = idx[i];
+      double sum = 0.0;
+      for (; i < n && idx[i] == index; ++i) sum += val[i];
+      if (sum != 0.0) {
+        idx[m] = index;
+        val[m] = sum;
+        ++m;
+      }
+    }
+    ApplyCoeffBatch(idx.data(), val.data(), m);
+  }
+}
+
+void WaveletGcs::ApplyCoeffBatch(const uint64_t* indices, const double* deltas,
+                                 size_t n) {
   for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].UpdateBatch(indices, deltas, n,
-                           static_cast<uint32_t>(degree_bits_) *
-                               static_cast<uint32_t>(l));
+    levels_[l].UpdateBatch(indices, deltas, n, degree_bits_ * static_cast<uint32_t>(l));
   }
 }
 

@@ -29,10 +29,12 @@ struct WaveletGcsOptions {
 /// Wavelet-domain synopsis built from Group-Count Sketches over a dyadic
 /// hierarchy of coefficient groups (Cormode et al. [13]): level 0 sketches
 /// singleton coefficients, level l sketches groups of 2^(l*degree_bits)
-/// consecutive coefficient indices. A data-domain point update touches
-/// log2(u)+1 coefficients, each updated in every level -- this multiplicative
-/// per-item cost is precisely why Send-Sketch loses the running-time race in
-/// the paper's Figure 5(b).
+/// consecutive coefficient indices. Every coefficient update touches every
+/// level in every repetition. The paper's Send-Sketch mapper pays that cost
+/// for each of the log2(u)+1 coefficients on each key's error-tree path --
+/// the multiplicative per-item cost behind its loss of the running-time race
+/// in Figure 5(b). Because the sketch is linear, UpdateSortedData instead
+/// sketches a whole split's nonzero Haar coefficients, each entered once.
 ///
 /// Heavy coefficients are recovered by descending the hierarchy from the
 /// root, expanding only groups whose estimated energy clears a threshold.
@@ -50,6 +52,14 @@ class WaveletGcs {
   /// v(x) += count in the *data* domain (translates to log2(u)+1 coefficient
   /// updates).
   void UpdateData(uint64_t x, double count);
+
+  /// v(keys[i]) += weights[i] for all i, with keys strictly ascending. The
+  /// sparse Haar transform of the points is computed level by level and each
+  /// nonzero coefficient is sketched once, so the counters equal, bit for
+  /// bit, UpdateCoeff(c.index, c.value) over SparseHaar(v, u) in index order.
+  /// That differs from n UpdateData calls only in floating-point summation
+  /// order.
+  void UpdateSortedData(const uint64_t* keys, const double* weights, size_t n);
 
   /// w(index) += delta in the coefficient domain.
   void UpdateCoeff(uint64_t index, double delta);
@@ -88,6 +98,8 @@ class WaveletGcs {
     return index >> (degree_bits_ * level);
   }
   uint64_t NumGroupsAtLevel(size_t level) const;
+  /// Applies coefficient deltas (ascending indices) to every sketch level.
+  void ApplyCoeffBatch(const uint64_t* indices, const double* deltas, size_t n);
 
   uint64_t u_;
   uint32_t degree_bits_;

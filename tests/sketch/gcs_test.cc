@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/rng.h"
+#include "core/simd.h"
 #include "sketch/wavelet_gcs.h"
 #include "wavelet/haar.h"
+#include "wavelet/sparse.h"
 
 namespace wavemr {
 namespace {
@@ -241,6 +246,176 @@ TEST(WaveletGcsTest, CounterUpdateCostFormula) {
   // log2(1024)+1 = 11 coefficients, each touching every level in each rep.
   EXPECT_EQ(sketch.CounterUpdatesPerDataPoint(),
             11u * sketch.num_levels() * opt.reps);
+}
+
+// ---------------------------------------------------------------------------
+// WaveletGcs::UpdateSortedData (the Send-Sketch mapper's path)
+// ---------------------------------------------------------------------------
+
+/// Restores the startup tier when a test is done overriding it.
+class SimdTierGuard {
+ public:
+  explicit SimdTierGuard(SimdTier tier) { OverrideSimdTierForTest(tier); }
+  ~SimdTierGuard() { OverrideSimdTierForTest(ActiveSimdTier()); }
+};
+
+std::vector<SimdTier> TiersUnderTest() {
+  return {SimdTier::kScalar, BestSimdTier()};
+}
+
+/// Every counter of the sketch, by flat index (zeros included).
+std::vector<double> AllCounters(const WaveletGcs& sketch) {
+  std::vector<double> counters(sketch.NumCounters(), 0.0);
+  sketch.ForEachNonzeroCounter(
+      [&counters](uint64_t idx, double v) { counters[idx] = v; });
+  return counters;
+}
+
+/// Counters agree exactly, as IEEE bit patterns; returns the mismatch count.
+size_t BitMismatches(const WaveletGcs& a, const WaveletGcs& b) {
+  const std::vector<double> ca = AllCounters(a);
+  const std::vector<double> cb = AllCounters(b);
+  EXPECT_EQ(ca.size(), cb.size());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < ca.size() && i < cb.size(); ++i) {
+    if (std::bit_cast<uint64_t>(ca[i]) != std::bit_cast<uint64_t>(cb[i])) ++mismatches;
+  }
+  return mismatches;
+}
+
+WaveletGcs SortedDataSketch(uint64_t u, const WaveletGcsOptions& opt,
+                            const SparseVector& v) {
+  std::vector<uint64_t> keys;
+  std::vector<double> weights;
+  for (const auto& [key, weight] : v) {
+    keys.push_back(key);
+    weights.push_back(weight);
+  }
+  WaveletGcs sketch(u, opt);
+  sketch.UpdateSortedData(keys.data(), weights.data(), keys.size());
+  return sketch;
+}
+
+/// The contract: UpdateCoeff over SparseHaar's coefficients in index order.
+WaveletGcs CoefficientReferenceSketch(uint64_t u, const WaveletGcsOptions& opt,
+                                      const SparseVector& v) {
+  WaveletGcs sketch(u, opt);
+  for (const WCoeff& c : SparseHaar(v, u)) sketch.UpdateCoeff(c.index, c.value);
+  return sketch;
+}
+
+/// `count` distinct ascending keys drawn uniformly from [0, u).
+SparseVector DenseDomainVector(uint64_t seed, uint64_t u, size_t count) {
+  Rng rng(seed);
+  std::set<uint64_t> keys;
+  while (keys.size() < count) keys.insert(rng.NextBounded(u));
+  SparseVector v;
+  for (uint64_t key : keys) v.emplace_back(key, (rng.NextDouble() - 0.5) * 100.0);
+  return v;
+}
+
+/// `count` distinct ascending keys in a few tight clusters of a wide domain,
+/// weighted by positive integer counts like a mapper's frequency vector.
+SparseVector ClusteredVector(uint64_t seed, uint64_t u, size_t count) {
+  Rng rng(seed);
+  std::vector<uint64_t> centers;
+  for (int c = 0; c < 16; ++c) centers.push_back(rng.NextBounded(u));
+  std::set<uint64_t> keys;
+  while (keys.size() < count) {
+    const uint64_t center = centers[rng.NextBounded(centers.size())];
+    keys.insert(std::min(u - 1, center + rng.NextBounded(512)));
+  }
+  SparseVector v;
+  for (uint64_t key : keys) {
+    v.emplace_back(key, static_cast<double>(1 + rng.NextBounded(40)));
+  }
+  return v;
+}
+
+TEST(WaveletGcsSortedDataTest, MatchesSparseHaarCoefficientPathBitForBit) {
+  const WaveletGcsOptions opt = TestGcsOptions();
+  const struct {
+    const char* name;
+    uint64_t u;
+    SparseVector v;
+  } cases[] = {
+      {"dense u=2^10 |v|=600", 1 << 10, DenseDomainVector(5, 1 << 10, 600)},
+      {"sparse u=2^20 |v|=2000", uint64_t{1} << 20,
+       ClusteredVector(6, uint64_t{1} << 20, 2000)},
+  };
+  for (SimdTier tier : TiersUnderTest()) {
+    SimdTierGuard guard(tier);
+    for (const auto& c : cases) {
+      const WaveletGcs got = SortedDataSketch(c.u, opt, c.v);
+      const WaveletGcs want = CoefficientReferenceSketch(c.u, opt, c.v);
+      EXPECT_GT(got.NonzeroCounters(), 0u);
+      EXPECT_EQ(BitMismatches(got, want), 0u)
+          << c.name << " tier=" << SimdTierName(tier);
+    }
+  }
+}
+
+TEST(WaveletGcsSortedDataTest, EdgeCasesMatchReferencesBitForBit) {
+  const WaveletGcsOptions opt = TestGcsOptions();
+  const uint64_t wide = uint64_t{1} << 20;
+  for (SimdTier tier : TiersUnderTest()) {
+    SimdTierGuard guard(tier);
+    // n = 0 touches nothing.
+    WaveletGcs empty(1 << 10, opt);
+    empty.UpdateSortedData(nullptr, nullptr, 0);
+    EXPECT_EQ(empty.NonzeroCounters(), 0u);
+
+    // One key is exactly one error-tree path: same adds as UpdateData.
+    WaveletGcs path(wide, opt);
+    path.UpdateData(123457, 6.0);
+    EXPECT_EQ(BitMismatches(SortedDataSketch(wide, opt, {{123457, 6.0}}), path), 0u)
+        << SimdTierName(tier);
+
+    // The domain endpoints.
+    const SparseVector ends = {{0, 3.0}, {wide - 1, 11.0}};
+    EXPECT_EQ(BitMismatches(SortedDataSketch(wide, opt, ends),
+                            CoefficientReferenceSketch(wide, opt, ends)),
+              0u)
+        << SimdTierName(tier);
+
+    // Keys 4 and 5 with equal weights cancel coefficient 130 = 2^7 + 4/2
+    // exactly. Its cells get no add at all, not a +x then -x residue pair,
+    // so the sketch equals the reference that never sees index 130.
+    const SparseVector cancel = {{4, 2.5}, {5, 2.5}};
+    for (const WCoeff& c : SparseHaar(cancel, 256)) ASSERT_NE(c.index, 130u);
+    EXPECT_EQ(BitMismatches(SortedDataSketch(256, opt, cancel),
+                            CoefficientReferenceSketch(256, opt, cancel)),
+              0u)
+        << SimdTierName(tier);
+  }
+}
+
+TEST(WaveletGcsSortedDataTest, CountersWithinRoundingOfPerKeyPath) {
+  // Same linear map as one UpdateData per key; only the summation order of
+  // each counter differs.
+  const WaveletGcsOptions opt = TestGcsOptions();
+  const uint64_t wide = uint64_t{1} << 20;
+  const struct {
+    uint64_t u;
+    SparseVector v;
+  } cases[] = {
+      {1 << 10, ClusteredVector(7, 1 << 10, 600)},
+      {wide, ClusteredVector(8, wide, 2000)},
+  };
+  for (SimdTier tier : TiersUnderTest()) {
+    SimdTierGuard guard(tier);
+    for (const auto& c : cases) {
+      WaveletGcs per_key(c.u, opt);
+      for (const auto& [key, weight] : c.v) per_key.UpdateData(key, weight);
+      const std::vector<double> got = AllCounters(SortedDataSketch(c.u, opt, c.v));
+      const std::vector<double> want = AllCounters(per_key);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i], want[i], 1e-9 * (1.0 + std::fabs(want[i])))
+            << "counter " << i << " u=" << c.u << " tier=" << SimdTierName(tier);
+      }
+    }
+  }
 }
 
 }  // namespace
