@@ -13,9 +13,8 @@
 //               comparison of per-pair replay vs block-wise delivery;
 //   extmerge    the external shuffle: the same k-way merge over resident
 //               runs vs runs spilled to temp files and streamed back
-//               through FileRunCursor (mapreduce/spill.h), with and without
-//               async read-ahead, plus inline vs overlapped (AsyncIoBackend)
-//               spill writes.
+//               through FileRunCursor (mapreduce/spill.h), plus inline vs
+//               overlapped (AsyncIoBackend) spill writes.
 //
 // Each kernel prints rows of (variant, items/sec, speedup vs the first
 // variant). Checksums keep the optimizer honest and double as a cheap
@@ -341,8 +340,6 @@ void BenchExternalMerge(uint64_t n) {
   rows.push_back({"resident runs", r.resident_pairs_per_sec, r.resident_checksum});
   rows.push_back({"file-backed runs", r.external_pairs_per_sec,
                   r.external_checksum});
-  rows.push_back({"file-backed + read-ahead", r.prefetch_pairs_per_sec,
-                  r.prefetch_checksum});
   PrintRows("external merge (pairs/s)", rows);
 
   // Spill-write side of the async plane: serializing R runs inline on the

@@ -28,11 +28,10 @@ Status IoOptions::Validate() const {
         "got " +
         std::to_string(queue_depth));
   }
-  if (prefetch_depth < 0 || prefetch_depth > 64) {
+  if (shuffle_buffer_bytes == 0) {
     return Status::InvalidArgument(
-        "IoOptions.prefetch_depth must be in [0, 64] (0 disables merge "
-        "prefetch); got " +
-        std::to_string(prefetch_depth));
+        "IoOptions.shuffle_buffer_bytes must be > 0 (the shuffle needs at "
+        "least one buffered run before spilling)");
   }
   if (retry.max_attempts < 1) {
     return Status::InvalidArgument(

@@ -23,20 +23,20 @@ namespace wavemr {
 
 /// Asynchronous I/O data plane.
 ///
-/// Everything that moves spill bytes between memory and disk goes through
-/// one pluggable seam, IoBackend, so the engine has exactly two data paths
-/// that share one typed error table:
+/// Every spill write goes through one pluggable seam, IoBackend, and one
+/// submit/collect path in the shuffle plane; the backends differ only in
+/// where the job runs:
 ///
 ///   - SyncIoBackend: the reference. Submit() runs the job inline on the
-///     calling thread; behavior is byte-for-byte the pre-async engine.
+///     calling thread.
 ///   - AsyncIoBackend: a submission queue drained by dedicated I/O worker
-///     threads. The shuffle plane overlaps spill serialization with map
-///     absorption, and FileRunCursor prefetches its next checksum block
-///     while the loser-tree merge drains the current one.
+///     threads, so the shuffle plane overlaps spill serialization with map
+///     absorption.
 ///
-/// The async engine is the portable worker-thread implementation: read jobs
-/// use positional pread (thread-safe on a shared fd), write jobs stream with
-/// buffered stdio. The seam deliberately admits kernel submission engines --
+/// Merge reads run inline on the reading thread (positional pread through
+/// the backend's buffer arena and retry policy). The async engine is the
+/// portable worker-thread implementation: write jobs stream with buffered
+/// stdio. The seam deliberately admits kernel submission engines --
 /// an io_uring backend slots in behind the same Submit() contract when
 /// <liburing.h> is available at build time (it is not baked into the CI
 /// image, and glibc's POSIX AIO is itself a hidden worker-thread pool, so
@@ -145,7 +145,7 @@ struct IoRetryPolicy {
 /// Which I/O engine the spill data plane runs on.
 enum class IoBackendKind {
   kSync,   // inline reference path (no overlap)
-  kAsync,  // submission queue + I/O workers (overlapped writes, prefetch)
+  kAsync,  // submission queue + I/O workers (overlapped spill writes)
   kAuto,   // best engine available on this build (currently kAsync)
 };
 
@@ -155,27 +155,24 @@ const char* IoBackendKindName(IoBackendKind kind);
 StatusOr<IoBackendKind> ParseIoBackendKind(const std::string& name);
 
 /// Every knob of the spill I/O plane in one struct, plumbed BuildOptions ->
-/// MrEnv -> ShufflePlane/FileRunCursor. Consolidates what used to be spread
-/// over CostModel::shuffle_buffer_bytes (still honored as the deprecated
-/// spelling) and the per-call SpillIoPolicy retry arguments.
+/// MrEnv -> ShufflePlane/FileRunCursor.
 struct IoOptions {
   /// Engine selection (--spill-io). kAuto resolves via ResolvedBackend().
   IoBackendKind backend = IoBackendKind::kAuto;
 
-  /// Retained-run budget before a sorted shuffle spills to disk. 0 = inherit
-  /// the deprecated CostModel::shuffle_buffer_bytes (which still defaults to
-  /// 256 MiB); nonzero here wins over the CostModel field.
-  uint64_t shuffle_buffer_bytes = 0;
+  /// In-memory budget for the map-output runs a sorted shuffle retains on
+  /// the driver before the plane spills to disk (--shuffle-buffer-bytes;
+  /// Hadoop's io.sort.mb analog, applied to the whole round). Crossing the
+  /// budget counts a spill event and evicts the largest retained runs to
+  /// temp spill files; the merge streams them back, bit-identical to the
+  /// all-in-memory path. Must be > 0.
+  uint64_t shuffle_buffer_bytes = uint64_t{256} << 20;
 
-  /// Maximum spill writes in flight on the async backend (--io-queue-depth).
-  /// Bounds the run columns pinned in memory awaiting serialization; the
-  /// submitter blocks on the oldest write once the queue is full.
+  /// Maximum spill writes submitted but not yet collected
+  /// (--io-queue-depth), on either backend. Bounds the run columns held in
+  /// memory awaiting serialization or collection; the submitter collects
+  /// the oldest write once the queue is full.
   int queue_depth = 4;
-
-  /// Checksum blocks each file cursor reads ahead of the merge
-  /// (--io-prefetch-depth). 0 disables prefetch even on the async backend
-  /// (reads happen inline, exactly the sync path). 1 = double buffering.
-  int prefetch_depth = 1;
 
   /// Transient-errno retry budget shared by every spill read and write.
   IoRetryPolicy retry;
@@ -250,7 +247,7 @@ class IoBuffer {
 class IoBufferArena {
  public:
   /// Freelist bound: enough for every cursor of a wide merge to park its
-  /// slots between rounds without holding unbounded memory.
+  /// buffers between rounds without holding unbounded memory.
   static constexpr size_t kMaxFreeBuffers = 64;
 
   IoBufferArena() = default;
@@ -306,17 +303,12 @@ class IoBackend {
 
   virtual const char* name() const = 0;
 
-  /// True when Submit actually overlaps: jobs run on I/O workers and the
-  /// caller continues. False = the sync reference (jobs ran inline before
-  /// Submit returned; consumers skip their overlap machinery entirely).
-  virtual bool async() const = 0;
-
   /// Schedules `job`. Jobs must not throw: failures are recorded in the
   /// job's own captured state as IoResult values and surfaced by the
   /// consumer at its deterministic observation point.
   virtual IoTicket Submit(std::function<void()> job) = 0;
 
-  /// The options this backend was built with (queue/prefetch depth, retry).
+  /// The options this backend was built with (queue depth, retry).
   const IoOptions& options() const { return options_; }
 
   /// Shared staging-buffer pool for this backend's consumers.
@@ -331,13 +323,12 @@ class IoBackend {
 };
 
 /// Reference backend: Submit runs the job inline. Zero threads, zero
-/// reordering -- byte-for-byte the pre-async engine, kept selectable forever
-/// as the bit-identity baseline (--spill-io=sync).
+/// reordering -- kept selectable as the bit-identity baseline
+/// (--spill-io=sync).
 class SyncIoBackend : public IoBackend {
  public:
   explicit SyncIoBackend(IoOptions options = IoOptions());
   const char* name() const override { return "sync"; }
-  bool async() const override { return false; }
   IoTicket Submit(std::function<void()> job) override;
 };
 
@@ -350,7 +341,6 @@ class AsyncIoBackend : public IoBackend {
   explicit AsyncIoBackend(IoOptions options = IoOptions());
   ~AsyncIoBackend() override;
   const char* name() const override { return "async"; }
-  bool async() const override { return true; }
   IoTicket Submit(std::function<void()> job) override;
 
  private:

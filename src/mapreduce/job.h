@@ -65,18 +65,10 @@ struct MrEnv {
   /// so the env-level remove is the crash backstop, not the cleanup path.
   SpillDir spill_dir;
 
-  /// Consolidated spill I/O knobs (backend, queue/prefetch depth, retry,
-  /// buffer override). Every round's ShufflePlane and file cursor runs on
-  /// the backend these options name; any choice is bit-identical, only
-  /// wall-clock changes.
+  /// Spill I/O knobs (backend, queue depth, retry, shuffle buffer). Every
+  /// round's ShufflePlane and file cursor runs on the backend these options
+  /// name; any choice is bit-identical, only wall-clock changes.
   IoOptions io;
-
-  /// Retained-run budget for sorted shuffles: IoOptions wins when set,
-  /// otherwise the deprecated CostModel::shuffle_buffer_bytes spelling.
-  uint64_t ResolvedShuffleBufferBytes() const {
-    return io.shuffle_buffer_bytes != 0 ? io.shuffle_buffer_bytes
-                                        : cost_model.shuffle_buffer_bytes;
-  }
 
   /// Lazily created I/O engine named by `io`, shared by all rounds (the
   /// async backend's workers persist across H-WTopk's three rounds, like
@@ -162,19 +154,18 @@ struct SortedMergeResult {
 };
 
 /// Sorted-round delivery: merges the plane's retained + spilled runs into
-/// `absorb`, split into `reduce_tasks` equi-depth partitions at exact
-/// global ranks r*n/R (ShufflePlane::CutForRank binary-searches every
-/// resident run in memory and every spilled run on disk), so each range
-/// holds n/R pairs within one regardless of key skew -- equal-width key
-/// spans left Zipf workloads with nearly all pairs in the low ranges, and
-/// degenerated to a single range when every key was equal. Parallel
-/// delivery claims ranges in rank slices through a RankStealScheduler:
-/// finished workers steal the upper half of a straggler's unclaimed tail
-/// and merge it through the same loser tree. Workers stage each slice's
-/// pairs in columnar buffers and the driver absorbs staged slices in
-/// ascending rank order -- exactly the stream a single full merge
-/// delivers, so results are bit-identical for every (reduce_tasks,
-/// threads, buffer size, steal schedule) combination.
+/// `absorb`, planned as `reduce_tasks` equi-depth partitions at exact
+/// global ranks r*n/R, so each range holds n/R pairs within one regardless
+/// of key skew. Parallel delivery (pool_threads > 1) cuts the stream at
+/// those ranks (ShufflePlane::CutForRank binary-searches every resident run
+/// in memory and every spilled run on disk) and claims ranges in rank
+/// slices through a RankStealScheduler: finished workers steal the upper
+/// half of a straggler's unclaimed tail and merge it through the same loser
+/// tree. Workers stage each slice's pairs in columnar buffers and the
+/// driver absorbs staged slices in ascending rank order -- exactly the
+/// stream a single full merge delivers. Serial delivery is that single full
+/// merge, with no cuts at all. Results are bit-identical for every
+/// (reduce_tasks, threads, buffer size, steal schedule) combination.
 ///
 /// `steal_slice_pairs` overrides the claim granularity (0 = auto); tests
 /// use tiny slices to force many-slice, steal-heavy schedules.
@@ -184,178 +175,152 @@ SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
                                      Absorb&& absorb,
                                      uint64_t steal_slice_pairs = 0) {
   SortedMergeResult result;
-  if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-    const uint64_t n = plane.pairs();
-    if (reduce_tasks > 1 && n > 0) {
-      const int R = reduce_tasks;
-      // Equi-depth boundaries at exact global ranks. When n < R the excess
-      // ranges are planned empty (duplicate bounds) and skipped below.
-      std::vector<uint64_t> bounds(static_cast<size_t>(R) + 1);
-      for (int r = 0; r <= R; ++r) {
-        bounds[static_cast<size_t>(r)] = static_cast<uint64_t>(
-            (static_cast<unsigned __int128>(n) * static_cast<unsigned>(r)) /
-            static_cast<unsigned>(R));
-      }
-      result.reduce_tasks_used = R;
-      result.range_max_pairs = 0;
-      result.range_min_pairs = n;
-      for (int r = 0; r < R; ++r) {
-        const uint64_t c = bounds[r + 1] - bounds[r];
-        result.range_max_pairs = std::max(result.range_max_pairs, c);
-        result.range_min_pairs = std::min(result.range_min_pairs, c);
-      }
-      if (pool_threads > 1) {
-        struct Staged {
-          std::vector<K> keys;
-          std::vector<V> values;
-        };
-        // Claim granularity: coarse enough that the per-slice cut searches
-        // are noise, fine enough that a straggler's tail is worth stealing.
-        const uint64_t slice =
-            steal_slice_pairs > 0
-                ? steal_slice_pairs
-                : std::max<uint64_t>(
-                      4096, n / (static_cast<uint64_t>(R) * 8));
-        RankStealScheduler sched(bounds, slice, 2 * slice);
-        ThreadPool* pool = env->EnsurePool(pool_threads);
-        std::mutex mu;
-        std::condition_variable cv;
-        std::map<uint64_t, Staged> staged;  // begin rank -> merged slice
-        uint64_t staged_pairs = 0;          // payload pairs parked in `staged`
-        uint64_t frontier = 0;              // next rank the driver absorbs
-        bool stop = false;
-        std::exception_ptr worker_error;
-        // Bounded staging, like the old sliding window: workers park at
-        // most ~2 slices per thread ahead of the driver, so peak staging
-        // memory stays a small slice-sized fraction of the merged payload
-        // even when one worker races far ahead of the absorb frontier.
-        const uint64_t staged_cap =
-            slice * (2 * static_cast<uint64_t>(pool_threads) + 2);
-        auto worker = [&] {
-          try {
-            size_t chunk = 0;
-            while (sched.NextChunk(&chunk)) {
-              MergeCut<K> lo_cut;
-              uint64_t lo_rank = 0;
-              bool have_lo = false;
-              RankStealScheduler::Slice sl;
-              while (sched.ClaimSlice(chunk, &sl)) {
-                // Consecutive slices of one chunk share a boundary: reuse
-                // the previous upper cut instead of re-searching.
-                if (!have_lo || lo_rank != sl.begin) {
-                  lo_cut = plane.CutForRank(sl.begin);
-                }
-                const bool has_hi = sl.end < n;
-                MergeCut<K> hi_cut;
-                if (has_hi) hi_cut = plane.CutForRank(sl.end);
-                Staged s;
-                s.keys.reserve(sl.end - sl.begin);
-                s.values.reserve(sl.end - sl.begin);
-                plane.MergeCutRange(lo_cut, has_hi, hi_cut,
-                                    [&s](const K& k, const V& v) {
-                                      s.keys.push_back(k);
-                                      s.values.push_back(v);
-                                    });
-                {
-                  std::unique_lock<std::mutex> lock(mu);
-                  // The slice the driver is waiting for must never block
-                  // on the cap, or the pipeline deadlocks.
-                  cv.wait(lock, [&] {
-                    return stop || sl.begin == frontier ||
-                           staged_pairs < staged_cap;
-                  });
-                  if (stop) return;
-                  staged_pairs += s.keys.size();
-                  staged.emplace(sl.begin, std::move(s));
-                }
-                cv.notify_all();
-                lo_cut = hi_cut;
-                lo_rank = sl.end;
-                have_lo = has_hi;
-              }
-            }
-          } catch (...) {
-            sched.Abort();
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              if (!worker_error) worker_error = std::current_exception();
-              stop = true;
-            }
-            cv.notify_all();
-          }
-        };
-        const int workers = pool_threads < R ? pool_threads : R;
-        std::vector<std::future<void>> futs;
-        futs.reserve(static_cast<size_t>(workers));
-        for (int w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
-        try {
-          std::unique_lock<std::mutex> lock(mu);
-          while (frontier < n) {
-            cv.wait(lock,
-                    [&] { return stop || staged.count(frontier) > 0; });
-            if (stop) break;
-            auto it = staged.find(frontier);
-            Staged s = std::move(it->second);
-            staged.erase(it);
-            staged_pairs -= s.keys.size();
-            const uint64_t next = frontier + s.keys.size();
-            lock.unlock();
-            cv.notify_all();  // a cap-blocked worker can park a slice now
-            for (size_t i = 0; i < s.keys.size(); ++i) {
-              absorb(s.keys[i], s.values[i]);
-            }
-            lock.lock();
-            frontier = next;
-            cv.notify_all();  // the worker holding rank `next` may be waiting
-          }
-        } catch (...) {
-          // The reducer threw on the driver. Running workers reference this
-          // frame's plane and locals; stop them and wait them out before
-          // the frame unwinds.
-          sched.Abort();
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            stop = true;
-          }
-          cv.notify_all();
-          for (auto& f : futs) {
-            if (f.valid()) f.wait();
-          }
-          throw;
-        }
-        for (auto& f : futs) f.get();
-        if (worker_error) std::rethrow_exception(worker_error);
-        result.steals = sched.steals();
-      } else {
-        // Serial: deliver each range straight into the reducer -- no
-        // staging memory, no scheduler, same stream. Adjacent ranges share
-        // a boundary cut, so each boundary is searched once.
+  const uint64_t n = plane.pairs();
+  result.range_max_pairs = n;
+  result.range_min_pairs = n;
+  const int R = reduce_tasks;
+  std::vector<uint64_t> bounds;
+  if (R > 1 && n > 0) {
+    // Equi-depth boundaries at exact global ranks. When n < R the excess
+    // ranges are planned empty (duplicate bounds).
+    bounds.resize(static_cast<size_t>(R) + 1);
+    for (int r = 0; r <= R; ++r) {
+      bounds[static_cast<size_t>(r)] = static_cast<uint64_t>(
+          (static_cast<unsigned __int128>(n) * static_cast<unsigned>(r)) /
+          static_cast<unsigned>(R));
+    }
+    result.reduce_tasks_used = R;
+    result.range_max_pairs = 0;
+    for (int r = 0; r < R; ++r) {
+      const uint64_t c = bounds[r + 1] - bounds[r];
+      result.range_max_pairs = std::max(result.range_max_pairs, c);
+      result.range_min_pairs = std::min(result.range_min_pairs, c);
+    }
+  }
+  if (bounds.empty() || pool_threads <= 1) {
+    // One range, or a serial reduce: the planned ranges concatenate to the
+    // full merge's stream, so deliver that stream straight into the reducer.
+    plane.Merge(absorb);
+    return result;
+  }
+  struct Staged {
+    std::vector<K> keys;
+    std::vector<V> values;
+  };
+  // Claim granularity: coarse enough that the per-slice cut searches are
+  // noise, fine enough that a straggler's tail is worth stealing.
+  const uint64_t slice =
+      steal_slice_pairs > 0
+          ? steal_slice_pairs
+          : std::max<uint64_t>(4096, n / (static_cast<uint64_t>(R) * 8));
+  RankStealScheduler sched(bounds, slice, 2 * slice);
+  ThreadPool* pool = env->EnsurePool(pool_threads);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<uint64_t, Staged> staged;  // begin rank -> merged slice
+  uint64_t staged_pairs = 0;          // payload pairs parked in `staged`
+  uint64_t frontier = 0;              // next rank the driver absorbs
+  bool stop = false;
+  std::exception_ptr worker_error;
+  // Bounded staging, like the old sliding window: workers park at most ~2
+  // slices per thread ahead of the driver, so peak staging memory stays a
+  // small slice-sized fraction of the merged payload even when one worker
+  // races far ahead of the absorb frontier.
+  const uint64_t staged_cap =
+      slice * (2 * static_cast<uint64_t>(pool_threads) + 2);
+  auto worker = [&] {
+    try {
+      size_t chunk = 0;
+      while (sched.NextChunk(&chunk)) {
         MergeCut<K> lo_cut;
         uint64_t lo_rank = 0;
         bool have_lo = false;
-        for (int r = 0; r < R; ++r) {
-          const uint64_t b = bounds[r];
-          const uint64_t e = bounds[r + 1];
-          if (b == e) continue;  // planned-empty range (n < R)
-          if (!have_lo || lo_rank != b) lo_cut = plane.CutForRank(b);
-          const bool has_hi = e < n;
+        RankStealScheduler::Slice sl;
+        while (sched.ClaimSlice(chunk, &sl)) {
+          // Consecutive slices of one chunk share a boundary: reuse the
+          // previous upper cut instead of re-searching.
+          if (!have_lo || lo_rank != sl.begin) {
+            lo_cut = plane.CutForRank(sl.begin);
+          }
+          const bool has_hi = sl.end < n;
           MergeCut<K> hi_cut;
-          if (has_hi) hi_cut = plane.CutForRank(e);
-          plane.MergeCutRange(lo_cut, has_hi, hi_cut, absorb);
+          if (has_hi) hi_cut = plane.CutForRank(sl.end);
+          Staged s;
+          s.keys.reserve(sl.end - sl.begin);
+          s.values.reserve(sl.end - sl.begin);
+          plane.MergeCutRange(lo_cut, has_hi, hi_cut,
+                              [&s](const K& k, const V& v) {
+                                s.keys.push_back(k);
+                                s.values.push_back(v);
+                              });
+          {
+            std::unique_lock<std::mutex> lock(mu);
+            // The slice the driver is waiting for must never block on the
+            // cap, or the pipeline deadlocks.
+            cv.wait(lock, [&] {
+              return stop || sl.begin == frontier || staged_pairs < staged_cap;
+            });
+            if (stop) return;
+            staged_pairs += s.keys.size();
+            staged.emplace(sl.begin, std::move(s));
+          }
+          cv.notify_all();
           lo_cut = hi_cut;
-          lo_rank = e;
+          lo_rank = sl.end;
           have_lo = has_hi;
         }
       }
-      return result;
+    } catch (...) {
+      sched.Abort();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!worker_error) worker_error = std::current_exception();
+        stop = true;
+      }
+      cv.notify_all();
     }
+  };
+  const int workers = pool_threads < R ? pool_threads : R;
+  std::vector<std::future<void>> futs;
+  futs.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
+  try {
+    std::unique_lock<std::mutex> lock(mu);
+    while (frontier < n) {
+      cv.wait(lock, [&] { return stop || staged.count(frontier) > 0; });
+      if (stop) break;
+      auto it = staged.find(frontier);
+      Staged s = std::move(it->second);
+      staged.erase(it);
+      staged_pairs -= s.keys.size();
+      const uint64_t next = frontier + s.keys.size();
+      lock.unlock();
+      cv.notify_all();  // a cap-blocked worker can park a slice now
+      for (size_t i = 0; i < s.keys.size(); ++i) {
+        absorb(s.keys[i], s.values[i]);
+      }
+      lock.lock();
+      frontier = next;
+      cv.notify_all();  // the worker holding rank `next` may be waiting
+    }
+  } catch (...) {
+    // The reducer threw on the driver. Running workers reference this
+    // frame's plane and locals; stop them and wait them out before the
+    // frame unwinds.
+    sched.Abort();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    cv.notify_all();
+    for (auto& f : futs) {
+      if (f.valid()) f.wait();
+    }
+    throw;
   }
-  (void)env;
-  (void)pool_threads;
-  (void)steal_slice_pairs;
-  plane.Merge(absorb);
-  result.range_max_pairs = plane.pairs();
-  result.range_min_pairs = plane.pairs();
+  for (auto& f : futs) f.get();
+  if (worker_error) std::rethrow_exception(worker_error);
+  result.steals = sched.steals();
   return result;
 }
 
@@ -556,7 +521,7 @@ struct JobPlan {
 /// every thread count. Sorted rounds additionally partition the merge into
 /// env->reduce_tasks equi-depth global-rank ranges (0 = one per map thread)
 /// executed on the same pool with work stealing, and spill retained runs past
-/// CostModel::shuffle_buffer_bytes to env->spill_dir -- neither changes any
+/// env->io.shuffle_buffer_bytes to env->spill_dir -- neither changes any
 /// result bit (see internal::DeliverSortedMerge and ShufflePlane).
 template <typename K2, typename V2>
 RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* env) {
@@ -595,7 +560,7 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   // largest ones to env->spill_dir when they outgrow the buffer budget --
   // for the loser-tree merge.
   ShufflePlane<K2, V2> plane(wire, plan.sorted_shuffle,
-                             SpillPolicy{env->ResolvedShuffleBufferBytes()},
+                             SpillPolicy{env->io.shuffle_buffer_bytes},
                              &env->spill_dir, env->EnsureIoBackend());
   auto absorb = [&](const K2& k, const V2& v) {
     plan.reducer->Absorb(k, v, reduce_ctx);

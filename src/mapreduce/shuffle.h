@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,6 +41,9 @@ namespace wavemr {
 /// keys[i] and values[i] form pair i; the arrays always have equal length.
 template <typename K, typename V>
 struct ShuffleRun {
+  static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
+                "shuffle keys are unsigned integers");
+
   std::vector<K> keys;
   std::vector<V> values;
   /// Set by SortByKey; a sorted plane only merges sorted runs.
@@ -69,18 +71,11 @@ struct ShuffleRun {
   /// Stable sort by key: the resulting permutation is exactly what
   /// std::stable_sort over the equivalent pair vector would produce, so a
   /// tie-broken merge of sorted runs reproduces the old engine's global
-  /// stable_sort bit for bit. Unsigned integer keys (every shuffle key in
-  /// this codebase) take an LSD radix path -- O(n) passes over contiguous
-  /// columns instead of a comparison sort over strided pairs.
+  /// stable_sort bit for bit. An LSD radix sort -- O(n) passes over
+  /// contiguous columns instead of a comparison sort over strided pairs.
   void SortByKey() {
     if (sorted) return;
-    if (keys.size() > 1) {
-      if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-        RadixSortByKey();
-      } else {
-        PermutationSortByKey();
-      }
-    }
+    if (keys.size() > 1) RadixSortByKey();
     sorted = true;
   }
 
@@ -126,25 +121,6 @@ struct ShuffleRun {
       keys.swap(key_scratch);
       values.swap(value_scratch);
     }
-  }
-
-  /// Fallback for non-radix-sortable keys: stable-sort an index permutation,
-  /// then gather both columns through it.
-  void PermutationSortByKey() {
-    const size_t n = keys.size();
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    const K* k = keys.data();
-    std::stable_sort(order.begin(), order.end(),
-                     [k](uint32_t a, uint32_t b) { return k[a] < k[b]; });
-    std::vector<K> sorted_keys(n);
-    std::vector<V> sorted_values(n);
-    for (size_t i = 0; i < n; ++i) {
-      sorted_keys[i] = keys[order[i]];
-      sorted_values[i] = values[order[i]];
-    }
-    keys.swap(sorted_keys);
-    values.swap(sorted_values);
   }
 };
 
@@ -427,8 +403,8 @@ class RunMerger {
 // ---------------------------------------------------------------------------
 
 /// Byte budget for the runs a sorted shuffle retains in memory before the
-/// plane spills them to disk (Hadoop's io.sort.mb analog, sized from the
-/// CostModel). Crossing the budget both counts a spill event and -- when the
+/// plane spills them to disk (Hadoop's io.sort.mb analog, sized by
+/// IoOptions::shuffle_buffer_bytes). Crossing the budget both counts a spill event and -- when the
 /// plane has a SpillDir -- serializes the largest retained runs until the
 /// resident footprint fits again.
 struct SpillPolicy {
@@ -477,22 +453,24 @@ struct MergeCut {
 /// (sorted planes). The plane deletes its spill files in its destructor, so
 /// a reducer exception unwinding RunRound leaves no files behind.
 ///
-/// On an async IoBackend, spill serialization moves off the driver: victim
-/// selection, SpillFileInfo metadata, and the WVMRPIL2 CRC footer are all
-/// computed at submission time on the driver (so *what* spills and what the
-/// checksums protect is decided identically to the sync plane), then the
-/// retrying file write runs on an I/O worker while the driver keeps
-/// absorbing map output. At most IoOptions::queue_depth writes are in
-/// flight; outcomes are collected in submission order before the first read
-/// -- merge, rank probe, counter, or destruction -- so every observable
-/// (synopses, counters, spill files on disk) is bit-identical to the sync
-/// backend. A write that fails after retries re-pins its run resident at
-/// collection, the same graceful degradation as the sync path. Failpoints:
-/// `spill.write.submit` (submission rejected -> immediate resident
-/// fallback) and `spill.write.complete` (completed write forced to fail,
-/// file removed).
+/// Every spill write goes through the IoBackend: victim selection,
+/// SpillFileInfo metadata and the WVMRPIL2 CRC footer are computed on the
+/// driver at submission, then the retrying file write runs as a backend job
+/// -- inline on the sync backend, on an I/O worker on the async one while
+/// the driver keeps absorbing map output. At most IoOptions::queue_depth
+/// writes stay uncollected; outcomes are collected in submission order
+/// before the first read -- merge, rank probe, counter, or destruction -- so
+/// every observable (synopses, counters, spill files on disk) is
+/// bit-identical across backends. A write that fails after retries re-pins
+/// its run resident at collection (graceful degradation, not an aborted
+/// job). Failpoints: `spill.write.submit` (submission rejected -> immediate
+/// resident fallback) and `spill.write.complete` (completed write forced to
+/// fail, file removed).
 template <typename K, typename V>
 class ShufflePlane {
+  static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
+                "shuffle keys are unsigned integers");
+
  public:
   /// Wire bytes of a whole run: called once per run with the packed columns.
   using WireFn = std::function<uint64_t(const K* keys, const V* values, size_t n)>;
@@ -507,8 +485,8 @@ class ShufflePlane {
         io_(io != nullptr ? io : DefaultSyncIoBackend()) {}
 
   ~ShufflePlane() {
-    // In-flight async writes capture pointers into in_flight_; they must
-    // land (and register their files in spilled_) before cleanup, so even a
+    // Uncollected writes capture pointers into in_flight_; they must land
+    // (and register their files in spilled_) before cleanup, so even a
     // mid-round unwind leaves zero files behind.
     EnsureSpillsComplete();
     DeleteSpillFiles();
@@ -544,41 +522,16 @@ class ShufflePlane {
   /// `absorb(key, value)`, grouped and sorted by key.
   template <typename Absorb>
   void Merge(Absorb&& absorb) {
-    MergeImpl(/*bounded=*/false, K{}, /*has_hi=*/false, K{},
-              std::forward<Absorb>(absorb));
-  }
-
-  /// Merges only the pairs with key in [lo, hi) -- or [lo, inf) when
-  /// has_hi is false -- preserving the exact order the full Merge would
-  /// deliver them in. Each call opens its own file cursors, so disjoint
-  /// ranges can merge concurrently (the key-range partitioned reduce).
-  template <typename Absorb>
-  void MergeRange(const K& lo, bool has_hi, const K& hi, Absorb&& absorb) const {
-    MergeImpl(/*bounded=*/true, lo, has_hi, hi, std::forward<Absorb>(absorb));
-  }
-
-  /// Pairs whose key is < `key` (inclusive=false) or <= `key` (true),
-  /// summed across every retained and spilled run. One in-memory
-  /// binary search per resident run, one on-disk probe sequence per
-  /// spilled run. Unsigned integral keys only.
-  uint64_t RankOfKey(const K& key, bool inclusive) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
-    EnsureSpillsComplete();
-    std::vector<SpillKeyProbe<K>> probes = MakeSpillProbes();
-    return RankOfKeyWith(probes, key, inclusive);
+    MergeBetween(nullptr, nullptr, std::forward<Absorb>(absorb));
   }
 
   /// The cut exactly `rank` pairs into the merged stream, 0 <= rank <
   /// pairs(). Binary-searches the key domain for the key owning that rank
-  /// (O(log key-span) RankOfKey probes), then walks that key's per-run
-  /// group sizes in ordinal order to place the cut inside the key's
-  /// duplicates. The end-of-stream position has no cut; callers express it
-  /// as an unbounded upper end (has_hi == false). Sorted planes with
-  /// unsigned integral keys only.
+  /// (O(log key-span) rank probes), then walks that key's per-run group
+  /// sizes in ordinal order to place the cut inside the key's duplicates.
+  /// The end-of-stream position has no cut; callers express it as an
+  /// unbounded upper end (has_hi == false). Sorted planes only.
   MergeCut<K> CutForRank(uint64_t rank) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     EnsureSpillsComplete();
     WAVEMR_CHECK(rank < pairs_) << "cut rank past the merged stream";
     K lo{};
@@ -631,44 +584,12 @@ class ShufflePlane {
   /// the end when has_hi is false -- preserving the exact order the full
   /// Merge delivers them in. Disjoint adjacent cut ranges concatenate to
   /// the single-merge stream, including through the middle of a run of
-  /// duplicate keys (where MergeRange cannot place a boundary). Thread-safe
-  /// like MergeRange: each call opens its own file cursors.
+  /// duplicate keys. Each call opens its own file cursors, so disjoint
+  /// ranges can merge concurrently (the equi-depth parallel reduce).
   template <typename Absorb>
   void MergeCutRange(const MergeCut<K>& lo, bool has_hi, const MergeCut<K>& hi,
                      Absorb&& absorb) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
-    EnsureSpillsComplete();
-    std::vector<MergeInput<K, V>> inputs;
-    std::vector<std::unique_ptr<FileRunCursor<K, V>>> cursors;
-    inputs.reserve(resident_.size() + spilled_.size());
-    for (const Retained& r : resident_) {
-      const K* begin = r.run.keys.data();
-      const uint64_t s = ResidentCutIndex(r, lo);
-      const uint64_t e = has_hi ? ResidentCutIndex(r, hi) : r.run.size();
-      inputs.push_back(MergeInput<K, V>{begin + s, r.run.values.data() + s,
-                                        static_cast<size_t>(e - s), nullptr,
-                                        r.ordinal});
-    }
-    for (const Spilled& s : spilled_) {
-      // One probe per run resolves both endpoints: shared handle, and the
-      // hi lookup usually hits the key block the lo lookup cached.
-      SpillKeyProbe<K> probe(s.info);
-      const uint64_t begin = SpilledCutIndex(s, lo, probe);
-      const uint64_t end =
-          has_hi ? SpilledCutIndex(s, hi, probe) : s.info.num_pairs;
-      cursors.push_back(std::make_unique<FileRunCursor<K, V>>(
-          s.info, begin, end, FileRunCursor<K, V>::kDefaultBlockPairs,
-          io_->options().retry, io_));
-      inputs.push_back(
-          MergeInput<K, V>{nullptr, nullptr, 0, cursors.back().get(), s.ordinal});
-    }
-    std::sort(inputs.begin(), inputs.end(),
-              [](const MergeInput<K, V>& a, const MergeInput<K, V>& b) {
-                return a.ordinal < b.ordinal;
-              });
-    RunMerger<K, V> merger(inputs);
-    merger.Drain(absorb);
+    MergeBetween(&lo, has_hi ? &hi : nullptr, std::forward<Absorb>(absorb));
   }
 
   /// Smallest and largest key across all retained + spilled pairs; false
@@ -684,15 +605,13 @@ class ShufflePlane {
       if (!any || *max_key < hi) *max_key = hi;
       any = true;
     }
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      for (const Spilled& s : spilled_) {
-        if (s.info.num_pairs == 0) continue;
-        const K lo = static_cast<K>(s.info.min_key);
-        const K hi = static_cast<K>(s.info.max_key);
-        if (!any || lo < *min_key) *min_key = lo;
-        if (!any || *max_key < hi) *max_key = hi;
-        any = true;
-      }
+    for (const Spilled& s : spilled_) {
+      if (s.info.num_pairs == 0) continue;
+      const K lo = static_cast<K>(s.info.min_key);
+      const K hi = static_cast<K>(s.info.max_key);
+      if (!any || lo < *min_key) *min_key = lo;
+      if (!any || *max_key < hi) *max_key = hi;
+      any = true;
     }
     return any;
   }
@@ -749,10 +668,11 @@ class ShufflePlane {
     uint32_t ordinal;
     SpillFileInfo info;
   };
-  /// One async spill write in flight: the run's columns (moved out of
-  /// resident_ at submission, so victim selection stays deterministic), the
-  /// driver-computed metadata + CRC footer, and the worker-side outcome.
-  /// unique_ptr-held so the job's captured pointer survives deque churn.
+  /// One submitted, not yet collected spill write: the run's columns (moved
+  /// out of resident_ at submission, so victim selection stays
+  /// deterministic), the driver-computed metadata + CRC footer, and the
+  /// job's outcome. unique_ptr-held so the job's captured pointer survives
+  /// deque churn.
   struct InFlightSpill {
     uint32_t ordinal = 0;
     ShuffleRun<K, V> run;
@@ -767,123 +687,89 @@ class ShufflePlane {
   /// Largest-first minimizes file count for a given number of bytes evicted
   /// -- the same policy Hadoop's merge uses to pick spill victims.
   void SpillUntilWithinBudget() {
-    if constexpr (std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>) {
-      if (spill_dir_ == nullptr) return;  // counting-only plane
-      while (spill_.ShouldSpill(resident_bytes_) && !resident_.empty()) {
-        size_t victim = resident_.size();
-        for (size_t i = 0; i < resident_.size(); ++i) {
-          if (resident_[i].pinned || resident_[i].run.empty()) continue;
-          if (victim == resident_.size() ||
-              resident_[i].run.PayloadBytes() >
-                  resident_[victim].run.PayloadBytes()) {
-            victim = i;
-          }
+    if (spill_dir_ == nullptr) return;  // counting-only plane
+    while (spill_.ShouldSpill(resident_bytes_) && !resident_.empty()) {
+      size_t victim = resident_.size();
+      for (size_t i = 0; i < resident_.size(); ++i) {
+        if (resident_[i].pinned || resident_[i].run.empty()) continue;
+        if (victim == resident_.size() ||
+            resident_[i].run.PayloadBytes() >
+                resident_[victim].run.PayloadBytes()) {
+          victim = i;
         }
-        // Everything left is empty or pinned by a failed spill: over budget
-        // but nothing evictable. Carry on resident.
-        if (victim == resident_.size()) break;
-        SpillRun(victim);
       }
+      // Everything left is empty or pinned by a failed spill: over budget
+      // but nothing evictable. Carry on resident.
+      if (victim == resident_.size()) break;
+      SpillRun(victim);
     }
   }
 
+  /// Submits resident run `idx` as a spill write. The run leaves resident_
+  /// at once; CollectFront later registers its file or re-pins it.
   void SpillRun(size_t idx) {
-    if (io_->async()) {
-      // Collecting may re-pin a failed run into resident_ (reallocation), so
-      // make room in the queue before touching resident_[idx].
-      const size_t depth =
-          static_cast<size_t>(std::max(1, io_->options().queue_depth));
-      while (in_flight_.size() >= depth) CollectFront();
-    }
+    // Collecting may re-pin a failed run into resident_ (reallocation), so
+    // make room in the queue before touching resident_[idx].
+    const size_t depth =
+        static_cast<size_t>(std::max(1, io_->options().queue_depth));
+    while (in_flight_.size() >= depth) CollectFront();
     Retained& r = resident_[idx];
     SpillFileInfo info;
     info.path = spill_dir_->NextFilePath("run-" + std::to_string(r.ordinal));
     info.num_pairs = r.run.size();
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      info.min_key = static_cast<uint64_t>(r.run.keys.front());
-      info.max_key = static_cast<uint64_t>(r.run.keys.back());
-      // Sparse key index for rank/partition probes: the run is sorted and
-      // in memory right now, so sampling block-leading keys is free.
-      info.block_keys.reserve(
-          static_cast<size_t>((info.num_pairs + kSpillIndexBlockPairs - 1) /
-                              kSpillIndexBlockPairs));
-      for (uint64_t b = 0; b * kSpillIndexBlockPairs < info.num_pairs; ++b) {
-        info.block_keys.push_back(
-            static_cast<uint64_t>(r.run.keys[b * kSpillIndexBlockPairs]));
-      }
+    info.min_key = static_cast<uint64_t>(r.run.keys.front());
+    info.max_key = static_cast<uint64_t>(r.run.keys.back());
+    // Sparse key index for rank/partition probes: the run is sorted and in
+    // memory right now, so sampling block-leading keys is free.
+    info.block_keys.reserve(static_cast<size_t>(SpillNumBlocks(info.num_pairs)));
+    for (uint64_t b = 0; b * kSpillIndexBlockPairs < info.num_pairs; ++b) {
+      info.block_keys.push_back(
+          static_cast<uint64_t>(r.run.keys[b * kSpillIndexBlockPairs]));
     }
-    if (io_->async()) {
-      const int fe = FailpointHit("spill.write.submit");
-      if (fe != 0) {
-        // Submission rejected: same degradation as a failed write, decided
-        // before the run leaves resident_.
-        r.pinned = true;
-        ++spill_fallbacks_;
-        WAVEMR_LOG(Warning)
-            << internal::SpillFail(IoResult::Op::kWrite, fe,
-                                   "spill submission rejected for " +
-                                       info.path.string())
-                   .ToString()
-            << "; retaining run " << r.ordinal << " resident ("
-            << r.run.PayloadBytes() << " bytes pinned)";
-        return;
-      }
-      auto fl = std::make_unique<InFlightSpill>();
-      fl->ordinal = r.ordinal;
-      fl->info = std::move(info);
-      fl->run = std::move(r.run);
-      // The run leaves the resident set *now*: later victim selection (and
-      // the budget check driving it) sees exactly what the sync plane would.
-      resident_bytes_ -= fl->run.PayloadBytes();
-      resident_.erase(resident_.begin() + static_cast<ptrdiff_t>(idx));
-      // CRC before submission: the footer covers the columns as the driver
-      // holds them at the spill decision, so worker-side corruption of any
-      // kind is detectable at read-back.
-      fl->footer = ComputeSpillFooter<K, V>(fl->run.keys.data(),
-                                            fl->run.values.data(),
-                                            fl->run.size());
-      InFlightSpill* raw = fl.get();
-      const IoRetryPolicy policy = io_->options().retry;
-      fl->ticket = io_->Submit([raw, policy] {
-        raw->result = WriteSpillFileWithFooter<K, V>(
-            raw->info.path, raw->run.keys.data(), raw->run.values.data(),
-            raw->run.size(), raw->footer, policy);
-      });
-      in_flight_.push_back(std::move(fl));
-      has_in_flight_.store(true, std::memory_order_release);
-      return;
-    }
-    const SpillWriteResult w =
-        WriteSpillFile<K, V>(info.path, r.run.keys.data(),
-                             r.run.values.data(), r.run.size(),
-                             io_->options().retry);
-    spill_retries_ += w.retries;
-    if (!w.io.ok()) {
-      // Degrade instead of dying: WriteSpillFile already deleted the partial
-      // file, the columns are still resident, and resident vs spilled runs
-      // merge bit-identically -- so pin the run in memory and move on. The
-      // fallback is observable only through counters (and a shrunken
-      // effective buffer).
+    const int fe = FailpointHit("spill.write.submit");
+    if (fe != 0) {
+      // Submission rejected: same degradation as a failed write, decided
+      // before the run leaves resident_.
       r.pinned = true;
       ++spill_fallbacks_;
-      WAVEMR_LOG(Warning) << w.io.ToString() << "; retaining run "
-                          << r.ordinal << " resident ("
-                          << r.run.PayloadBytes() << " bytes pinned)";
+      WAVEMR_LOG(Warning)
+          << internal::SpillFail(IoResult::Op::kWrite, fe,
+                                 "spill submission rejected for " +
+                                     info.path.string())
+                 .ToString()
+          << "; retaining run " << r.ordinal << " resident ("
+          << r.run.PayloadBytes() << " bytes pinned)";
       return;
     }
-    info.file_bytes = w.file_bytes;
-    ++spill_files_;
-    spill_bytes_ += info.file_bytes;
-    spill_payload_bytes_ += r.run.PayloadBytes();
-    resident_bytes_ -= r.run.PayloadBytes();
-    spilled_.push_back(Spilled{r.ordinal, std::move(info)});
+    auto fl = std::make_unique<InFlightSpill>();
+    fl->ordinal = r.ordinal;
+    fl->info = std::move(info);
+    fl->run = std::move(r.run);
+    // The run leaves the resident set *now*: later victim selection (and
+    // the budget check driving it) sees the same state on every backend.
+    resident_bytes_ -= fl->run.PayloadBytes();
     resident_.erase(resident_.begin() + static_cast<ptrdiff_t>(idx));
+    // CRC before submission: the footer covers the columns as the driver
+    // holds them at the spill decision, so worker-side corruption of any
+    // kind is detectable at read-back.
+    fl->footer = ComputeSpillFooter<K, V>(fl->run.keys.data(),
+                                          fl->run.values.data(),
+                                          fl->run.size());
+    InFlightSpill* raw = fl.get();
+    const IoRetryPolicy policy = io_->options().retry;
+    fl->ticket = io_->Submit([raw, policy] {
+      raw->result = WriteSpillFileWithFooter<K, V>(
+          raw->info.path, raw->run.keys.data(), raw->run.values.data(),
+          raw->run.size(), raw->footer, policy);
+    });
+    in_flight_.push_back(std::move(fl));
+    has_in_flight_.store(true, std::memory_order_release);
   }
 
-  /// Lands the oldest in-flight write: waits its ticket, applies the
-  /// counters the sync path would have applied at write time (collection
-  /// order is submission order, so the healthy-path totals match exactly),
-  /// and either registers the spill file or re-pins the run resident.
+  /// Lands the oldest submitted write: waits its ticket, applies its
+  /// counters (collection order is submission order, so the totals never
+  /// depend on the backend), and either registers the spill file or re-pins
+  /// the run resident.
   void CollectFront() {
     std::unique_ptr<InFlightSpill> fl = std::move(in_flight_.front());
     in_flight_.pop_front();
@@ -900,6 +786,9 @@ class ShufflePlane {
     }
     spill_retries_ += fl->result.retries;
     if (!fl->result.io.ok()) {
+      // Degrade instead of dying: the write already deleted any partial
+      // file, the columns are still here, and resident vs spilled runs
+      // merge bit-identically -- so pin the run in memory and move on.
       WAVEMR_LOG(Warning) << fl->result.io.ToString() << "; retaining run "
                           << fl->ordinal << " resident ("
                           << fl->run.PayloadBytes() << " bytes pinned)";
@@ -915,7 +804,7 @@ class ShufflePlane {
     spilled_.push_back(Spilled{fl->ordinal, std::move(fl->info)});
   }
 
-  /// Barrier between the write plane and every reader: all in-flight spill
+  /// Barrier between the write plane and every reader: all submitted spill
   /// writes land before merges, rank probes, counters, or destruction look
   /// at plane state. Cheap atomic fast path; the mutex makes the collection
   /// safe to reach from concurrent reduce workers (their acquire load
@@ -954,12 +843,15 @@ class ShufflePlane {
   std::vector<SpillKeyProbe<K>> MakeSpillProbes() const {
     std::vector<SpillKeyProbe<K>> probes;
     probes.reserve(spilled_.size());
-    for (const Spilled& s : spilled_) probes.emplace_back(s.info);
+    for (const Spilled& s : spilled_) {
+      probes.emplace_back(s.info, io_->options().retry);
+    }
     return probes;
   }
 
-  /// RankOfKey through a caller-owned probe set (handles and block caches
-  /// persist across calls).
+  /// Pairs whose key is < `key` (inclusive=false) or <= `key` (true),
+  /// summed across every retained and spilled run, through a caller-owned
+  /// probe set (handles and block caches persist across calls).
   uint64_t RankOfKeyWith(std::vector<SpillKeyProbe<K>>& probes, const K& key,
                          bool inclusive) const {
     uint64_t rank = ResidentRankOfKey(key, inclusive);
@@ -982,7 +874,7 @@ class ShufflePlane {
     return rank;
   }
 
-  /// Decides RankOfKey(key, inclusive=true) > rank with as little IO as
+  /// Decides RankOfKeyWith(key, inclusive=true) > rank with as little IO as
   /// possible: resident ranks plus each spilled run's sparse-index bracket
   /// first (zero IO), exact per-run reads only while `rank` still falls
   /// inside the uncertainty interval. In the rank binary search almost
@@ -1010,31 +902,35 @@ class ShufflePlane {
     return min_sum > rank;
   }
 
+  /// The one merge body behind Merge and MergeCutRange: every retained and
+  /// spilled run, sliced to the pairs between cut `*lo` and cut `*hi`
+  /// (nullptr = the run's start / end), through one loser tree. Each call
+  /// opens its own file cursors.
   template <typename Absorb>
-  void MergeImpl(bool bounded, const K& lo, bool has_hi, const K& hi,
-                 Absorb&& absorb) const {
+  void MergeBetween(const MergeCut<K>* lo, const MergeCut<K>* hi,
+                    Absorb&& absorb) const {
     EnsureSpillsComplete();
     std::vector<MergeInput<K, V>> inputs;
     std::vector<std::unique_ptr<FileRunCursor<K, V>>> cursors;
     inputs.reserve(resident_.size() + spilled_.size());
     for (const Retained& r : resident_) {
-      const K* begin = r.run.keys.data();
-      const K* end = begin + r.run.size();
-      const K* s = bounded ? std::lower_bound(begin, end, lo) : begin;
-      const K* e = (bounded && has_hi) ? std::lower_bound(s, end, hi) : end;
-      inputs.push_back(MergeInput<K, V>{
-          s, r.run.values.data() + (s - begin), static_cast<size_t>(e - s),
-          nullptr, r.ordinal});
+      const uint64_t b = lo != nullptr ? ResidentCutIndex(r, *lo) : 0;
+      const uint64_t e = hi != nullptr ? ResidentCutIndex(r, *hi) : r.run.size();
+      inputs.push_back(MergeInput<K, V>{r.run.keys.data() + b,
+                                        r.run.values.data() + b,
+                                        static_cast<size_t>(e - b), nullptr,
+                                        r.ordinal});
     }
     for (const Spilled& s : spilled_) {
-      const uint64_t begin =
-          bounded ? FileRunCursor<K, V>::LowerBoundIndex(s.info, lo) : 0;
-      const uint64_t end = (bounded && has_hi)
-                               ? FileRunCursor<K, V>::LowerBoundIndex(s.info, hi)
-                               : s.info.num_pairs;
-      cursors.push_back(std::make_unique<FileRunCursor<K, V>>(
-          s.info, begin, end, FileRunCursor<K, V>::kDefaultBlockPairs,
-          io_->options().retry, io_));
+      // One probe per run resolves both endpoints: shared handle, and the
+      // hi lookup usually hits the key block the lo lookup cached. A whole
+      // run never opens it.
+      SpillKeyProbe<K> probe(s.info, io_->options().retry);
+      const uint64_t b = lo != nullptr ? SpilledCutIndex(s, *lo, probe) : 0;
+      const uint64_t e =
+          hi != nullptr ? SpilledCutIndex(s, *hi, probe) : s.info.num_pairs;
+      cursors.push_back(
+          std::make_unique<FileRunCursor<K, V>>(s.info, b, e, io_));
       inputs.push_back(
           MergeInput<K, V>{nullptr, nullptr, 0, cursors.back().get(), s.ordinal});
     }

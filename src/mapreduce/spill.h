@@ -7,18 +7,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <deque>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -27,14 +22,13 @@
 #include "core/failpoint.h"
 #include "core/io.h"
 #include "core/logging.h"
-#include "core/status.h"
 
 namespace wavemr {
 
 /// External shuffle spill files.
 ///
 /// When a sorted round's retained map-output runs outgrow
-/// CostModel::shuffle_buffer_bytes, the ShufflePlane serializes whole runs
+/// IoOptions::shuffle_buffer_bytes, the ShufflePlane serializes whole runs
 /// to temp files in the columnar framing below and frees their memory; the
 /// loser-tree merge then streams them back through FileRunCursor, so the
 /// merged output is bit-identical to the all-in-memory path (same keys, same
@@ -66,11 +60,9 @@ namespace wavemr {
 /// ENOSPC on writes) is retried with exponential backoff per
 /// IoOptions::retry (IoRetryPolicy, core/io.h) before either outcome -- sync
 /// and async paths share that one classification table. Fault injection
-/// hooks: failpoint sites `spill.write.{open,write,close}` and
-/// `spill.read.{open,read}` fire on every backend; the async-only sites
-/// `spill.write.submit`, `spill.write.complete` (shuffle.h) and
-/// `spill.read.prefetch` (FileRunCursor) fire inside the overlapped plane
-/// (core/failpoint.h, catalog in docs/robustness.md).
+/// hooks: failpoint sites `spill.write.{open,write,close}`,
+/// `spill.write.{submit,complete}` (shuffle.h) and `spill.read.{open,read}`
+/// fire on every backend (core/failpoint.h, catalog in docs/robustness.md).
 
 inline constexpr uint64_t kSpillMagic = 0x57564d5250494c32ull;  // "WVMRPIL2"
 inline constexpr uint64_t kSpillHeaderBytes = 24;
@@ -109,14 +101,6 @@ class SpillIoError : public std::runtime_error {
   IoResult io_;
 };
 
-/// Deprecated spelling: the retry policy moved to core/io.h (IoRetryPolicy,
-/// carried inside IoOptions) so sync and async paths share one transient
-/// table. Old call sites keep compiling through this alias.
-using SpillIoPolicy = IoRetryPolicy;
-
-template <typename K>
-class SpillKeyProbe;
-
 /// Metadata the plane keeps per spilled run: enough to merge and partition
 /// it without re-reading the header.
 struct SpillFileInfo {
@@ -126,7 +110,7 @@ struct SpillFileInfo {
   uint64_t max_key = 0;  // keys.back() at spill time
   uint64_t file_bytes = 0;
   /// keys[b * kSpillIndexBlockPairs] for each block b, recorded at spill
-  /// time (unsigned integral keys only, like min/max). Lets rank and
+  /// time. Lets rank and
   /// partition probes bracket any lower bound inside one block without
   /// touching the file.
   std::vector<uint64_t> block_keys;
@@ -153,12 +137,9 @@ inline IoResult SpillFail(IoResult::Op op, int err, std::string detail) {
 /// errno), validates the header against the caller's SpillFileInfo, loads
 /// and verifies the checksum footer, and serves positioned reads.
 ///
-/// Every operation exists in two spellings that share one body: Try*
-/// returns a typed IoResult (the IoBackend seam -- async prefetch jobs must
-/// never throw across threads), and the bare name throws SpillIoError for
-/// the legacy inline paths. Reads go through positional pread on the owned
-/// fd, so once Open succeeds concurrent TryReadAt calls (prefetch slots in
-/// flight) are safe without any cursor-level locking.
+/// Every operation returns a typed IoResult; the readers (FileRunCursor,
+/// SpillKeyProbe) turn a failure into a SpillIoError throw. Reads go through
+/// positional pread on the owned fd.
 ///
 /// `expect_vsize` = 0 skips the value-size check (SpillKeyProbe does not
 /// know V; it takes the on-disk size as authoritative for computing the
@@ -245,14 +226,8 @@ class SpillReadHandle {
     return r;
   }
 
-  void Open(const SpillFileInfo& info, uint32_t expect_ksize,
-            uint32_t expect_vsize, const IoRetryPolicy& policy) {
-    IoResult r = TryOpen(info, expect_ksize, expect_vsize, policy);
-    if (!r.ok()) throw SpillIoError(std::move(r));
-  }
-
-  /// Positioned read of exactly `bytes` via pread (safe from concurrent
-  /// prefetch jobs); retries transient errno per policy. Returns kFormat on
+  /// Positioned read of exactly `bytes` via pread; retries transient errno
+  /// per policy. Returns kFormat on
   /// EOF (truncation) and kRead on hard errors.
   IoResult TryReadAt(uint64_t offset, void* out, size_t bytes,
                      const char* what) const {
@@ -290,11 +265,6 @@ class SpillReadHandle {
     }
   }
 
-  void ReadAt(uint64_t offset, void* out, size_t bytes, const char* what) const {
-    IoResult r = TryReadAt(offset, out, bytes, what);
-    if (!r.ok()) throw SpillIoError(std::move(r));
-  }
-
   /// Verifies one column block against its stored checksum.
   IoResult TryVerifyBlock(const std::vector<uint32_t>& crcs, uint64_t block,
                           const void* data, size_t bytes,
@@ -309,12 +279,6 @@ class SpillReadHandle {
                   block < crcs.size() ? crcs[block] : 0u, computed);
     return SpillFail(IoResult::Op::kChecksum, 0,
                      std::string(msg) + " in " + path_);
-  }
-
-  void VerifyBlock(const std::vector<uint32_t>& crcs, uint64_t block,
-                   const void* data, size_t bytes, const char* column) const {
-    IoResult r = TryVerifyBlock(crcs, block, data, bytes, column);
-    if (!r.ok()) throw SpillIoError(std::move(r));
   }
 
  private:
@@ -418,7 +382,7 @@ IoResult WriteSpillFileOnce(const std::filesystem::path& path, const K* keys,
 
 /// The checksum footer for one run's columns: per-block CRC32C of the key
 /// and value columns plus the footer CRC, in on-disk layout. Computed by the
-/// *owner* of the columns -- on the async path the driver runs this before
+/// *owner* of the columns -- the plane runs this on the driver before
 /// submission, so what lands on disk provably matches what the plane held
 /// when it decided to spill, not whatever a worker later observed.
 template <typename K, typename V>
@@ -436,11 +400,10 @@ std::vector<uint32_t> ComputeSpillFooter(const K* keys, const V* values,
   return footer;
 }
 
-/// Retrying write body shared by the inline and worker-side paths: each
+/// Retrying write body, run by the shuffle plane as an IoBackend job: each
 /// retry rewrites from scratch, any partial file is deleted before
-/// returning, and the outcome is a typed result -- never a throw, so it is
-/// safe as an IoBackend job body. The footer must come from
-/// ComputeSpillFooter over the same columns.
+/// returning, and the outcome is a typed result -- never a throw. The footer
+/// must come from ComputeSpillFooter over the same columns.
 template <typename K, typename V>
 SpillWriteResult WriteSpillFileWithFooter(const std::filesystem::path& path,
                                           const K* keys, const V* values,
@@ -492,246 +455,81 @@ SpillWriteResult WriteSpillFile(const std::filesystem::path& path,
 
 /// Streaming block cursor over an index range [begin, end) of one spill
 /// file's pairs. Each cursor owns its fd, so cursors over the same file
-/// (one per reduce partition) are safe to advance from different threads.
+/// (one per reduce slice) are safe to advance from different threads.
 /// NextBlock loads (keys, values) pairs into owned buffers and hands out raw
 /// column pointers -- the same shape RunMerger's resident cursors have, so
 /// file-backed and in-memory runs merge through one loser tree.
 ///
-/// Reads are always whole checksum blocks (kSpillIndexBlockPairs pairs,
-/// cached), verified against the stored CRC32C before any byte is served; a
-/// refill request is clamped to the current block's end, so callers see at
-/// most block_pairs pairs per call but possibly fewer. IO failures and
-/// corruption throw SpillIoError.
-///
-/// On an async IoBackend the cursor prefetches: up to
-/// IoOptions::prefetch_depth upcoming checksum blocks are read and
-/// CRC-verified by I/O workers (failpoint `spill.read.prefetch`) while the
-/// loser tree drains the current block. Blocks are consumed strictly in
-/// order, so the handoff point is deterministic -- a prefetched block's
-/// failure or corruption is rethrown as SpillIoError exactly when NextBlock
-/// first touches that block, the same observable point as the inline path.
-/// Buffers come from the backend's IoBufferArena and recycle as the cursor
-/// advances.
+/// Reads are always whole checksum blocks (kSpillIndexBlockPairs pairs),
+/// verified against the stored CRC32C before any byte is served, and each
+/// NextBlock serves the rest of the current block inside the range. The two
+/// column buffers are leased from the backend's IoBufferArena on the first
+/// read and recycle when the cursor dies. Retries follow the backend's
+/// IoOptions::retry; IO failures and corruption throw SpillIoError.
 template <typename K, typename V>
 class FileRunCursor {
  public:
-  /// Upper bound on pairs per refill: 4096 * (8 + 8) bytes = 64 KiB per
-  /// column pair for the common u64/u64 shuffle -- big enough to amortize
-  /// the read, small enough that R cursors * 2 columns stay cache-friendly.
-  static constexpr uint64_t kDefaultBlockPairs = 4096;
-
+  /// `io` = nullptr reads through the process-wide sync backend.
   FileRunCursor(const SpillFileInfo& info, uint64_t begin, uint64_t end,
-                uint64_t block_pairs = kDefaultBlockPairs,
-                const IoRetryPolicy& policy = IoRetryPolicy(),
                 IoBackend* io = nullptr)
-      : FileRunCursor(info, begin, end, block_pairs, policy, io, nullptr) {}
-
-  /// Typed construction through the IoBackend seam: open/header/footer
-  /// failures come back as a Status instead of a SpillIoError throw.
-  static StatusOr<std::unique_ptr<FileRunCursor>> Create(
-      const SpillFileInfo& info, uint64_t begin, uint64_t end,
-      uint64_t block_pairs = kDefaultBlockPairs,
-      const IoRetryPolicy& policy = IoRetryPolicy(), IoBackend* io = nullptr) {
-    IoResult open_result;
-    auto cursor = std::unique_ptr<FileRunCursor>(new FileRunCursor(
-        info, begin, end, block_pairs, policy, io, &open_result));
-    if (!open_result.ok()) return open_result.ToStatus();
-    return cursor;
+      : io_(io != nullptr ? io : DefaultSyncIoBackend()),
+        num_pairs_(info.num_pairs),
+        pos_(begin),
+        end_(std::min(end, info.num_pairs)) {
+    static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>);
+    WAVEMR_CHECK(begin <= end_) << "inverted spill cursor range";
+    IoResult r =
+        handle_.TryOpen(info, sizeof(K), sizeof(V), io_->options().retry);
+    if (!r.ok()) throw SpillIoError(std::move(r));
   }
 
   FileRunCursor(const FileRunCursor&) = delete;
   FileRunCursor& operator=(const FileRunCursor&) = delete;
 
-  ~FileRunCursor() {
-    // In-flight prefetch jobs capture slot pointers; they must finish
-    // before the slots (and the handle's fd) die.
-    for (auto& slot : pending_) slot->ticket.Wait();
-  }
-
-  uint64_t remaining() const { return end_ - pos_; }
-
-  /// Checksum blocks currently read ahead (telemetry for tests).
-  size_t prefetch_in_flight() const { return pending_.size(); }
-
-  /// Loads the next slice of the range. Returns the number of pairs loaded
-  /// (0 at end of range); *keys/*values point at the cursor-owned buffers
-  /// and stay valid until the next NextBlock call.
+  /// Loads the rest of the current checksum block, clipped to the range end.
+  /// Returns the number of pairs loaded (0 at end of range); *keys/*values
+  /// point at the cursor-owned buffers and stay valid until the next
+  /// NextBlock call.
   uint64_t NextBlock(const K** keys, const V** values) {
-    uint64_t want = remaining() < block_pairs_ ? remaining() : block_pairs_;
-    if (want == 0) return 0;
+    if (pos_ >= end_) return 0;
     const uint64_t block = pos_ / kSpillIndexBlockPairs;
     const uint64_t block_lo = block * kSpillIndexBlockPairs;
-    const uint64_t block_hi =
-        std::min(block_lo + kSpillIndexBlockPairs, num_pairs_);
-    want = std::min(want, block_hi - pos_);
-    LoadBlock(block, block_lo, block_hi);
-    *keys = reinterpret_cast<const K*>(cur_keys_.data()) + (pos_ - block_lo);
-    *values =
-        reinterpret_cast<const V*>(cur_values_.data()) + (pos_ - block_lo);
-    pos_ += want;
-    return want;
-  }
-
-  /// First index in [0, num_pairs) whose key is >= `key` -- std::lower_bound
-  /// over the sorted on-disk key block, one verified key block read per
-  /// probed block. Used by the driver to slice a spilled run into reduce
-  /// partitions without streaming it. The stored key bounds short-circuit
-  /// the common partition boundaries (entirely before or after this run)
-  /// with zero IO. Repeat callers should hold their own SpillKeyProbe to
-  /// reuse the handle and block cache.
-  static uint64_t LowerBoundIndex(const SpillFileInfo& info, const K& key) {
-    SpillKeyProbe<K> probe(info);
-    return probe.LowerBound(key);
-  }
-
-  /// First index in [0, num_pairs) whose key is > `key` -- std::upper_bound
-  /// over the sorted on-disk key block. For the unsigned integral keys the
-  /// shuffle uses this is LowerBoundIndex of key+1 (the all-ones key maps to
-  /// the end), so it inherits the same zero-IO min/max short-circuits. The
-  /// equi-depth partitioner needs both bounds to size a spilled run's
-  /// key-equal group without streaming it.
-  static uint64_t UpperBoundIndex(const SpillFileInfo& info, const K& key) {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
-    if (key == std::numeric_limits<K>::max()) return info.num_pairs;
-    return LowerBoundIndex(info, static_cast<K>(key + 1));
+    const uint64_t take =
+        std::min(end_, block_lo + kSpillIndexBlockPairs) - pos_;
+    LoadBlock(block);
+    *keys = reinterpret_cast<const K*>(keys_.data()) + (pos_ - block_lo);
+    *values = reinterpret_cast<const V*>(values_.data()) + (pos_ - block_lo);
+    pos_ += take;
+    return take;
   }
 
  private:
-  /// One prefetched checksum block in flight: the job fills keys/values and
-  /// records its outcome in `result`; the consumer serializes on `ticket`.
-  struct Slot {
-    uint64_t block = 0;
-    IoBuffer keys;
-    IoBuffer values;
-    IoResult result;
-    IoTicket ticket;
-  };
-
-  /// Shared body. With `open_result` != nullptr failures land there (the
-  /// typed Create path); otherwise they throw SpillIoError (legacy ctor).
-  FileRunCursor(const SpillFileInfo& info, uint64_t begin, uint64_t end,
-                uint64_t block_pairs, const IoRetryPolicy& policy,
-                IoBackend* io, IoResult* open_result)
-      : io_(io != nullptr ? io : DefaultSyncIoBackend()),
-        num_pairs_(info.num_pairs),
-        pos_(begin),
-        end_(end < info.num_pairs ? end : info.num_pairs),
-        block_pairs_(block_pairs == 0 ? 1 : block_pairs) {
-    static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>);
-    WAVEMR_CHECK(begin <= end_) << "inverted spill cursor range";
-    IoResult r = handle_.TryOpen(info, sizeof(K), sizeof(V), policy);
-    if (!r.ok()) {
-      if (open_result != nullptr) {
-        *open_result = std::move(r);
-        return;
-      }
-      throw SpillIoError(std::move(r));
+  /// Reads and CRC-verifies checksum block `block` into the column buffers.
+  void LoadBlock(uint64_t block) {
+    if (!keys_) {
+      const uint64_t cap = std::min(kSpillIndexBlockPairs, num_pairs_);
+      keys_ = io_->arena().Acquire(cap * sizeof(K));
+      values_ = io_->arena().Acquire(cap * sizeof(V));
     }
-    if (open_result != nullptr) *open_result = IoResult{};
-    if (io_->async() && pos_ < end_) {
-      prefetch_depth_ = std::max(0, io_->options().prefetch_depth);
-    }
-    next_prefetch_block_ = pos_ / kSpillIndexBlockPairs;
-    SubmitPrefetch();
-  }
-
-  /// Reads + CRC-verifies one whole checksum block into caller storage.
-  /// Never throws (runs on I/O workers as well as inline).
-  IoResult TryLoadBlockInto(uint64_t block, std::byte* kout,
-                            std::byte* vout) const {
     const uint64_t lo = block * kSpillIndexBlockPairs;
     const uint64_t count = std::min(kSpillIndexBlockPairs, num_pairs_ - lo);
     IoResult r =
-        handle_.TryReadAt(internal::SpillKeyOffset() + lo * sizeof(K), kout,
-                          count * sizeof(K), "spill key block");
-    if (!r.ok()) return r;
-    r = handle_.TryVerifyBlock(handle_.key_crcs(), block, kout,
-                               count * sizeof(K), "spill key");
-    if (!r.ok()) return r;
-    r = handle_.TryReadAt(
-        internal::SpillValueOffset<K, V>(num_pairs_) + lo * sizeof(V), vout,
-        count * sizeof(V), "spill value block");
-    if (!r.ok()) return r;
-    return handle_.TryVerifyBlock(handle_.value_crcs(), block, vout,
-                                  count * sizeof(V), "spill value");
-  }
-
-  /// Tops the pipeline back up to prefetch_depth_ slots. At most
-  /// prefetch_depth_ jobs are ever in flight per cursor and all are
-  /// submitted from the consuming thread, so a stalled backend can delay but
-  /// never deadlock the merge.
-  void SubmitPrefetch() {
-    if (prefetch_depth_ == 0) return;
-    const uint64_t last_block = (end_ - 1) / kSpillIndexBlockPairs;
-    while (pending_.size() < static_cast<size_t>(prefetch_depth_) &&
-           next_prefetch_block_ <= last_block) {
-      auto slot = std::make_unique<Slot>();
-      slot->block = next_prefetch_block_++;
-      const uint64_t lo = slot->block * kSpillIndexBlockPairs;
-      const uint64_t count = std::min(kSpillIndexBlockPairs, num_pairs_ - lo);
-      slot->keys = io_->arena().Acquire(count * sizeof(K));
-      slot->values = io_->arena().Acquire(count * sizeof(V));
-      Slot* raw = slot.get();
-      slot->ticket = io_->Submit([this, raw] {
-        const IoRetryPolicy& policy = io_->options().retry;
-        for (int attempt = 0;; ++attempt) {
-          const int fe = FailpointHit("spill.read.prefetch");
-          if (fe == 0) break;
-          if (IoRetryPolicy::IsTransient(fe) &&
-              attempt + 1 < policy.max_attempts) {
-            policy.BackoffSleep(attempt);
-            continue;
-          }
-          raw->result = internal::SpillFail(
-              IoResult::Op::kRead, fe,
-              "prefetch of spill block " + std::to_string(raw->block));
-          return;
-        }
-        raw->result =
-            TryLoadBlockInto(raw->block, raw->keys.data(), raw->values.data());
-      });
-      pending_.push_back(std::move(slot));
+        handle_.TryReadAt(internal::SpillKeyOffset() + lo * sizeof(K),
+                          keys_.data(), count * sizeof(K), "spill key block");
+    if (r.ok()) {
+      r = handle_.TryVerifyBlock(handle_.key_crcs(), block, keys_.data(),
+                                 count * sizeof(K), "spill key");
     }
-  }
-
-  void LoadBlock(uint64_t block, uint64_t block_lo, uint64_t block_hi) {
-    if (block == loaded_block_) return;
-    if (prefetch_depth_ > 0) {
-      // Blocks are consumed in strictly increasing order (refills are
-      // clamped to checksum-block boundaries); skipped slots cannot happen,
-      // but drain defensively rather than desync the pipeline.
-      while (!pending_.empty() && pending_.front()->block < block) {
-        pending_.front()->ticket.Wait();
-        pending_.pop_front();
-      }
-      WAVEMR_CHECK(!pending_.empty() && pending_.front()->block == block)
-          << "spill prefetch pipeline out of sync";
-      std::unique_ptr<Slot> slot = std::move(pending_.front());
-      pending_.pop_front();
-      slot->ticket.Wait();
-      if (!slot->result.ok()) {
-        // Same observable point as the inline path: the error surfaces when
-        // the merge first needs this block, CRC-checked before handoff.
-        throw SpillIoError(std::move(slot->result));
-      }
-      cur_keys_ = std::move(slot->keys);
-      cur_values_ = std::move(slot->values);
-      loaded_block_ = block;
-      SubmitPrefetch();
-      return;
+    if (r.ok()) {
+      r = handle_.TryReadAt(
+          internal::SpillValueOffset<K, V>(num_pairs_) + lo * sizeof(V),
+          values_.data(), count * sizeof(V), "spill value block");
     }
-    // Inline path: same bytes, same failpoint sites as the pre-async engine.
-    if (!cur_keys_) {
-      const uint64_t buf = std::min<uint64_t>(kSpillIndexBlockPairs, num_pairs_);
-      cur_keys_ = io_->arena().Acquire(buf * sizeof(K));
-      cur_values_ = io_->arena().Acquire(buf * sizeof(V));
+    if (r.ok()) {
+      r = handle_.TryVerifyBlock(handle_.value_crcs(), block, values_.data(),
+                                 count * sizeof(V), "spill value");
     }
-    (void)block_lo;
-    (void)block_hi;
-    IoResult r = TryLoadBlockInto(block, cur_keys_.data(), cur_values_.data());
     if (!r.ok()) throw SpillIoError(std::move(r));
-    loaded_block_ = block;
   }
 
   IoBackend* io_;
@@ -739,13 +537,8 @@ class FileRunCursor {
   uint64_t num_pairs_;
   uint64_t pos_;
   uint64_t end_;
-  uint64_t block_pairs_;
-  uint64_t loaded_block_ = std::numeric_limits<uint64_t>::max();
-  int prefetch_depth_ = 0;
-  uint64_t next_prefetch_block_ = 0;
-  IoBuffer cur_keys_;
-  IoBuffer cur_values_;
-  std::deque<std::unique_ptr<Slot>> pending_;
+  IoBuffer keys_;
+  IoBuffer values_;
 };
 
 /// Random-access lower/upper-bound probes over one spill file's sorted key
@@ -756,16 +549,18 @@ class FileRunCursor {
 /// are decided by the bracket, and only the final refinements pay a read.
 /// The exact variants read whole checksum-verified key blocks and cache the
 /// last one, so probing the same region repeatedly (rank search convergence,
-/// the lower/upper pair sizing a key group) costs a single fread; without
+/// the lower/upper pair sizing a key group) costs a single read; without
 /// the sparse index a lower bound degrades to a binary search over verified
-/// blocks (log(nblocks) reads).
+/// blocks (log(nblocks) reads). The file opens lazily, on the first exact
+/// probe that needs a block; IO failures and corruption throw SpillIoError.
 ///
 /// One probe is single-threaded; concurrent reduce tasks each build their
-/// own (same ownership rule as FileRunCursor). The index/bounds shortcuts
-/// need unsigned integral keys (the partitioning key contract); LowerBound
-/// itself works for any trivially copyable ordered key.
+/// own (same ownership rule as FileRunCursor).
 template <typename K>
 class SpillKeyProbe {
+  static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
+                "shuffle keys are unsigned integers");
+
  public:
   struct IndexBounds {
     uint64_t min;  // true index is >= min
@@ -773,10 +568,8 @@ class SpillKeyProbe {
   };
 
   explicit SpillKeyProbe(const SpillFileInfo& info,
-                         const SpillIoPolicy& policy = SpillIoPolicy())
-      : info_(&info), policy_(policy) {
-    static_assert(std::is_trivially_copyable_v<K>);
-  }
+                         const IoRetryPolicy& policy = IoRetryPolicy())
+      : info_(&info), policy_(policy) {}
 
   SpillKeyProbe(SpillKeyProbe&& other) noexcept = default;
   SpillKeyProbe(const SpillKeyProbe&) = delete;
@@ -784,38 +577,27 @@ class SpillKeyProbe {
   SpillKeyProbe& operator=(SpillKeyProbe&&) = delete;
 
   /// Brackets LowerBound(key) using only min/max and the sparse block index
-  /// -- no IO. (Without the unsigned-integral key contract the bracket is
-  /// the whole file.)
+  /// -- no IO.
   IndexBounds LowerBoundBounds(const K& key) const {
     const SpillFileInfo& in = *info_;
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      if (in.num_pairs == 0 || static_cast<uint64_t>(key) <= in.min_key) {
-        return IndexBounds{0, 0};
-      }
-      if (static_cast<uint64_t>(key) > in.max_key) {
-        return IndexBounds{in.num_pairs, in.num_pairs};
-      }
-      if (in.block_keys.empty()) return IndexBounds{0, in.num_pairs};
-      // First block whose leading key is >= key; j >= 1 because block 0
-      // leads with min_key < key. The answer sits after block j-1's leading
-      // key and no later than block j's start.
-      const uint64_t j = static_cast<uint64_t>(
-          std::lower_bound(in.block_keys.begin(), in.block_keys.end(),
-                           static_cast<uint64_t>(key)) -
-          in.block_keys.begin());
-      const uint64_t lo = (j - 1) * kSpillIndexBlockPairs + 1;
-      const uint64_t hi = j < in.block_keys.size() ? j * kSpillIndexBlockPairs
-                                                   : in.num_pairs;
-      return IndexBounds{lo, hi};
-    } else {
-      return IndexBounds{0, in.num_pairs};
-    }
+    if (in.num_pairs == 0 || key <= in.min_key) return IndexBounds{0, 0};
+    if (key > in.max_key) return IndexBounds{in.num_pairs, in.num_pairs};
+    if (in.block_keys.empty()) return IndexBounds{0, in.num_pairs};
+    // First block whose leading key is >= key; j >= 1 because block 0
+    // leads with min_key < key. The answer sits after block j-1's leading
+    // key and no later than block j's start.
+    const uint64_t j = static_cast<uint64_t>(
+        std::lower_bound(in.block_keys.begin(), in.block_keys.end(),
+                         static_cast<uint64_t>(key)) -
+        in.block_keys.begin());
+    const uint64_t lo = (j - 1) * kSpillIndexBlockPairs + 1;
+    const uint64_t hi =
+        j < in.block_keys.size() ? j * kSpillIndexBlockPairs : in.num_pairs;
+    return IndexBounds{lo, hi};
   }
 
   /// Brackets UpperBound(key) (first index with key strictly greater).
   IndexBounds UpperBoundBounds(const K& key) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     if (key == std::numeric_limits<K>::max()) {
       return IndexBounds{info_->num_pairs, info_->num_pairs};
     }
@@ -839,42 +621,43 @@ class SpillKeyProbe {
     return lo;
   }
 
-  /// Exact std::upper_bound index; for the unsigned keys this is
-  /// LowerBound(key + 1), sharing the cached block when both land together.
+  /// Exact std::upper_bound index: LowerBound(key + 1), sharing the cached
+  /// block when both land together.
   uint64_t UpperBound(const K& key) {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     if (key == std::numeric_limits<K>::max()) return info_->num_pairs;
     return LowerBound(static_cast<K>(key + 1));
   }
 
  private:
-  /// Key at pair index `i`, served from the cached checksum block (loaded
-  /// and verified on miss).
+  /// Key at pair index `i`, served from the cached checksum block (opened,
+  /// loaded and verified on miss).
   K KeyAt(uint64_t i) {
     const uint64_t block = i / kSpillIndexBlockPairs;
     if (block != cached_block_) {
-      EnsureOpen();
       const uint64_t lo = block * kSpillIndexBlockPairs;
       const uint64_t count =
           std::min(kSpillIndexBlockPairs, info_->num_pairs - lo);
       cache_.resize(static_cast<size_t>(count));
-      handle_.ReadAt(internal::SpillKeyOffset() + lo * sizeof(K), cache_.data(),
-                     count * sizeof(K), "spill key block");
-      handle_.VerifyBlock(handle_.key_crcs(), block, cache_.data(),
-                          count * sizeof(K), "spill key");
+      IoResult r = handle_.open() ? IoResult{}
+                                  : handle_.TryOpen(*info_, sizeof(K),
+                                                    /*expect_vsize=*/0, policy_);
+      if (r.ok()) {
+        r = handle_.TryReadAt(internal::SpillKeyOffset() + lo * sizeof(K),
+                              cache_.data(), count * sizeof(K),
+                              "spill key block");
+      }
+      if (r.ok()) {
+        r = handle_.TryVerifyBlock(handle_.key_crcs(), block, cache_.data(),
+                                   count * sizeof(K), "spill key");
+      }
+      if (!r.ok()) throw SpillIoError(std::move(r));
       cached_block_ = block;
     }
     return cache_[static_cast<size_t>(i - cached_block_ * kSpillIndexBlockPairs)];
   }
 
-  void EnsureOpen() {
-    if (handle_.open()) return;
-    handle_.Open(*info_, sizeof(K), /*expect_vsize=*/0, policy_);
-  }
-
   const SpillFileInfo* info_;
-  SpillIoPolicy policy_;
+  IoRetryPolicy policy_;
   internal::SpillReadHandle handle_;
   uint64_t cached_block_ = std::numeric_limits<uint64_t>::max();
   std::vector<K> cache_;

@@ -141,6 +141,9 @@ double WaveletGcs::EstimateEnergy() const {
 std::vector<WCoeff> WaveletGcs::FindTopK(size_t k, size_t max_candidates) const {
   const size_t root = levels_.size() - 1;
   const double energy = EstimateEnergy();
+  // A sketch of nothing (n = 0) has zero energy, so every group would clear
+  // the zero threshold and k zero-valued estimates would fill the synopsis.
+  if (energy == 0.0) return {};
   // Noise floor of a singleton energy query: a random level-0 bucket carries
   // ~energy/buckets of colliding mass, so thresholds below ~2x that admit
   // indistinguishable-from-noise candidates whose value estimates would

@@ -72,7 +72,8 @@ class WaveletGcs {
 
   /// Hierarchical search for the k coefficients of largest |estimate|. The
   /// threshold starts at energy/(2k) and halves until enough candidates
-  /// emerge (bounded by max_candidates to keep the search near O(k)).
+  /// emerge (bounded by max_candidates to keep the search near O(k)). A
+  /// sketch with zero energy (no data) yields no terms.
   std::vector<WCoeff> FindTopK(size_t k, size_t max_candidates = 8192) const;
 
   void Merge(const WaveletGcs& other);

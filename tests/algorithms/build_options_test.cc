@@ -61,8 +61,10 @@ TEST(BuildOptionsTest, RejectsNegativeReduceTasks) {
 
 TEST(BuildOptionsTest, RejectsZeroShuffleBuffer) {
   BuildOptions options;
-  options.cost_model.shuffle_buffer_bytes = 0;
-  ExpectInvalidMentioning(options.Validate(), "shuffle_buffer_bytes");
+  options.io.shuffle_buffer_bytes = 0;
+  ExpectInvalidMentioning(options.Validate(), "IoOptions.shuffle_buffer_bytes");
+  options.io.shuffle_buffer_bytes = 1;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(BuildOptionsTest, BuildWaveletHistogramRunsValidationOnce) {

@@ -59,6 +59,20 @@ TEST(EdgeCasesTest, KZeroYieldsEmptyHistogram) {
   }
 }
 
+TEST(EdgeCasesTest, EmptyDatasetYieldsEmptyHistogram) {
+  // n = 0: no coefficient is nonzero, so no algorithm has a term to keep.
+  // Send-Sketch's zero-energy sketch must not fill the synopsis with
+  // zero-valued estimates.
+  InMemoryDataset ds(std::vector<std::vector<uint64_t>>(4), 1 << 8);
+  BuildOptions build;
+  build.k = 20;
+  for (AlgorithmKind kind : AllAlgorithms()) {
+    auto result = BuildWaveletHistogram(ds, kind, build);
+    ASSERT_TRUE(result.ok()) << AlgorithmName(kind);
+    EXPECT_EQ(result->histogram.num_terms(), 0u) << AlgorithmName(kind);
+  }
+}
+
 TEST(EdgeCasesTest, KExceedsNonzeroCoefficients) {
   InMemoryDataset ds({{1, 1, 1}, {1, 1}}, 1 << 4);
   BuildOptions build;

@@ -55,6 +55,7 @@ TEST(IoOptionsTest, AutoResolvesToAsync) {
 
 TEST(IoOptionsTest, DefaultsValidate) {
   EXPECT_TRUE(IoOptions().Validate().ok());
+  EXPECT_EQ(IoOptions().shuffle_buffer_bytes, uint64_t{256} << 20);
 }
 
 TEST(IoOptionsTest, QueueDepthBounds) {
@@ -69,20 +70,6 @@ TEST(IoOptionsTest, QueueDepthBounds) {
   options.queue_depth = 1;
   EXPECT_TRUE(options.Validate().ok());
   options.queue_depth = 1024;
-  EXPECT_TRUE(options.Validate().ok());
-}
-
-TEST(IoOptionsTest, PrefetchDepthBounds) {
-  IoOptions options;
-  options.prefetch_depth = -1;
-  auto st = options.Validate();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("IoOptions.prefetch_depth"), std::string::npos);
-  options.prefetch_depth = 65;
-  EXPECT_FALSE(options.Validate().ok());
-  options.prefetch_depth = 0;  // 0 = prefetch disabled, explicitly legal
-  EXPECT_TRUE(options.Validate().ok());
-  options.prefetch_depth = 64;
   EXPECT_TRUE(options.Validate().ok());
 }
 
@@ -215,7 +202,6 @@ TEST(IoBufferArenaTest, ConcurrentAcquireReleaseIsSafe) {
 TEST(SyncIoBackendTest, SubmitRunsInlineBeforeReturning) {
   SyncIoBackend backend;
   EXPECT_STREQ(backend.name(), "sync");
-  EXPECT_FALSE(backend.async());
   const std::thread::id caller = std::this_thread::get_id();
   bool ran = false;
   IoTicket ticket = backend.Submit([&] {
@@ -232,7 +218,6 @@ TEST(AsyncIoBackendTest, SubmitOverlapsAndWaitCompletes) {
   options.queue_depth = 2;
   AsyncIoBackend backend(options);
   EXPECT_STREQ(backend.name(), "async");
-  EXPECT_TRUE(backend.async());
   std::atomic<int> done{0};
   std::vector<IoTicket> tickets;
   for (int i = 0; i < 16; ++i) {
@@ -269,27 +254,27 @@ TEST(AsyncIoBackendTest, DestructorJoinsAfterPendingJobs) {
 TEST(MakeIoBackendTest, BuildsWhatResolvedBackendNames) {
   IoOptions options;
   options.backend = IoBackendKind::kSync;
-  EXPECT_FALSE(MakeIoBackend(options)->async());
+  EXPECT_STREQ(MakeIoBackend(options)->name(), "sync");
   options.backend = IoBackendKind::kAsync;
-  EXPECT_TRUE(MakeIoBackend(options)->async());
+  EXPECT_STREQ(MakeIoBackend(options)->name(), "async");
   options.backend = IoBackendKind::kAuto;  // resolves to async
-  EXPECT_TRUE(MakeIoBackend(options)->async());
+  EXPECT_STREQ(MakeIoBackend(options)->name(), "async");
 }
 
 TEST(MakeIoBackendTest, BackendKeepsItsOptions) {
   IoOptions options;
   options.backend = IoBackendKind::kAsync;
   options.queue_depth = 7;
-  options.prefetch_depth = 3;
+  options.shuffle_buffer_bytes = 4096;
   auto backend = MakeIoBackend(options);
   EXPECT_EQ(backend->options().queue_depth, 7);
-  EXPECT_EQ(backend->options().prefetch_depth, 3);
+  EXPECT_EQ(backend->options().shuffle_buffer_bytes, 4096u);
 }
 
 TEST(DefaultSyncIoBackendTest, IsProcessWideAndSync) {
   IoBackend* a = DefaultSyncIoBackend();
   ASSERT_NE(a, nullptr);
-  EXPECT_FALSE(a->async());
+  EXPECT_STREQ(a->name(), "sync");
   EXPECT_EQ(a, DefaultSyncIoBackend());
 }
 

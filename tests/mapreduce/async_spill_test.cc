@@ -1,9 +1,10 @@
 // The async spill data plane end to end: overlapped spill writes must be
 // invisible in every observable (merged stream, counters, files on disk),
-// prefetched merge reads must surface corruption at the same point the
-// inline path would, the buffer arena must actually recycle (the ASan lanes
-// run this file to catch use-after-recycle), and every exit path -- clean,
-// aborted, failing -- must leave the spill directory empty.
+// a corrupt spill block must surface exactly when the merge reaches it, the
+// buffer arena must actually recycle (the ASan lanes run this file to catch
+// use-after-recycle), the submit/collect failpoints must fire on both
+// backends, and every exit path -- clean, aborted, failing -- must leave the
+// spill directory empty.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -31,14 +32,17 @@ using TestRun = ShuffleRun<uint64_t, uint64_t>;
 using Plane = ShufflePlane<uint64_t, uint64_t>;
 using Pair = std::pair<uint64_t, uint64_t>;
 
-IoOptions AsyncOptions(int queue_depth = 4, int prefetch_depth = 2) {
+IoOptions TestIoOptions(int queue_depth = 4,
+                       IoBackendKind backend = IoBackendKind::kAsync) {
   IoOptions options;
-  options.backend = IoBackendKind::kAsync;
+  options.backend = backend;
   options.queue_depth = queue_depth;
-  options.prefetch_depth = prefetch_depth;
   options.retry.backoff_initial_us = 0;  // retry tests run instantly
   return options;
 }
+
+constexpr IoBackendKind kBothBackends[] = {IoBackendKind::kSync,
+                                           IoBackendKind::kAsync};
 
 size_t FilesIn(const fs::path& dir) {
   size_t n = 0;
@@ -122,7 +126,7 @@ TEST_F(AsyncSpillTest, AsyncPlaneMatchesSyncPlaneBitForBit) {
   ASSERT_GT(sync_plane->spill_files(), 0u) << "budget must force real spills";
 
   SpillDir async_dir;
-  AsyncIoBackend async_io(AsyncOptions());
+  AsyncIoBackend async_io(TestIoOptions());
   auto async_plane = FillPlane(&async_dir, &async_io);
   const std::vector<Pair> got = Drain(*async_plane);
 
@@ -142,10 +146,10 @@ TEST_F(AsyncSpillTest, AsyncPlaneMatchesSyncPlaneBitForBit) {
 
 TEST_F(AsyncSpillTest, OrdinalOrderSurvivesConcurrentWrites) {
   // A deep queue lets many writes race on the workers; collection must
-  // still register files in submission (= ordinal) order, which RankOfKey
-  // and CutForRank depend on for probe/spilled_ index pairing.
+  // still register files in submission (= ordinal) order, which CutForRank
+  // depends on for probe/spilled_ index pairing.
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions(/*queue_depth=*/8, /*prefetch_depth=*/2));
+  AsyncIoBackend io(TestIoOptions(/*queue_depth=*/8));
   auto plane = FillPlane(&dir, &io, /*num_runs=*/16, /*run_len=*/3000);
   ASSERT_GT(plane->spill_files(), 4u);
 
@@ -166,66 +170,32 @@ TEST_F(AsyncSpillTest, OrdinalOrderSurvivesConcurrentWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch: corruption and failures surface at the deterministic handoff.
+// Read path: corruption surfaces at the block that holds it.
 // ---------------------------------------------------------------------------
 
 TEST_F(AsyncSpillTest, PrefetchedBlockCorruptionIsDetected) {
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
+  AsyncIoBackend io(TestIoOptions());
   TestRun run = MakeRun(7, 3 * 4096 + 100);  // four checksum blocks
   SpillFileInfo info = WriteGood(&dir, run);
-  // Corrupt a key byte in the *third* block: the cursor prefetches it while
-  // the merge drains earlier blocks, but the CRC failure must only surface
-  // when NextBlock reaches that block.
+  // Corrupt a key byte in the *third* block: the two healthy blocks before
+  // it are served, and the CRC failure surfaces exactly when NextBlock
+  // reaches the corrupt one.
   FlipByte(info.path,
            static_cast<std::streamoff>(kSpillHeaderBytes + 2 * 4096 * 8 + 24),
            0x01);
-  FileRunCursor<uint64_t, uint64_t> cursor(
-      info, 0, info.num_pairs, FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-      io.options().retry, &io);
+  FileRunCursor<uint64_t, uint64_t> cursor(info, 0, info.num_pairs, &io);
   const uint64_t* k = nullptr;
   const uint64_t* v = nullptr;
   uint64_t consumed = 0;
   try {
     for (uint64_t got; (got = cursor.NextBlock(&k, &v)) > 0;) consumed += got;
-    FAIL() << "corrupt prefetched block read back without error";
+    FAIL() << "corrupt block read back without error";
   } catch (const SpillIoError& e) {
     EXPECT_EQ(e.io().op, IoResult::Op::kChecksum) << e.what();
     EXPECT_EQ(consumed, 2 * 4096u)
         << "both healthy blocks served before the corrupt one failed";
   }
-}
-
-TEST_F(AsyncSpillTest, PrefetchPipelineActuallyReadsAhead) {
-  SpillDir dir;
-  AsyncIoBackend io(AsyncOptions(/*queue_depth=*/4, /*prefetch_depth=*/3));
-  TestRun run = MakeRun(8, 6 * 4096);
-  SpillFileInfo info = WriteGood(&dir, run);
-  FileRunCursor<uint64_t, uint64_t> cursor(
-      info, 0, info.num_pairs, FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-      io.options().retry, &io);
-  EXPECT_EQ(cursor.prefetch_in_flight(), 3u) << "pipeline primed at open";
-  const uint64_t* k = nullptr;
-  const uint64_t* v = nullptr;
-  uint64_t total = 0;
-  for (uint64_t got; (got = cursor.NextBlock(&k, &v)) > 0;) total += got;
-  EXPECT_EQ(total, run.size());
-}
-
-TEST_F(AsyncSpillTest, PrefetchDepthZeroReadsInline) {
-  SpillDir dir;
-  AsyncIoBackend io(AsyncOptions(/*queue_depth=*/4, /*prefetch_depth=*/0));
-  TestRun run = MakeRun(9, 2 * 4096);
-  SpillFileInfo info = WriteGood(&dir, run);
-  FileRunCursor<uint64_t, uint64_t> cursor(
-      info, 0, info.num_pairs, FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-      io.options().retry, &io);
-  EXPECT_EQ(cursor.prefetch_in_flight(), 0u);
-  const uint64_t* k = nullptr;
-  const uint64_t* v = nullptr;
-  uint64_t total = 0;
-  for (uint64_t got; (got = cursor.NextBlock(&k, &v)) > 0;) total += got;
-  EXPECT_EQ(total, run.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -235,14 +205,13 @@ TEST_F(AsyncSpillTest, PrefetchDepthZeroReadsInline) {
 
 TEST_F(AsyncSpillTest, ArenaRecyclesBuffersAcrossBlocks) {
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions(/*queue_depth=*/2, /*prefetch_depth=*/1));
+  AsyncIoBackend io(TestIoOptions(/*queue_depth=*/2));
   TestRun run = MakeRun(10, 8 * 4096);
   SpillFileInfo info = WriteGood(&dir, run);
-  {
-    FileRunCursor<uint64_t, uint64_t> cursor(
-        info, 0, info.num_pairs,
-        FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-        io.options().retry, &io);
+  // Two cursors in turn: the first leases one buffer per column for all 8
+  // blocks, the second gets both back from the freelist.
+  for (int pass = 0; pass < 2; ++pass) {
+    FileRunCursor<uint64_t, uint64_t> cursor(info, 0, info.num_pairs, &io);
     const uint64_t* k = nullptr;
     const uint64_t* v = nullptr;
     uint64_t i = 0;
@@ -256,11 +225,9 @@ TEST_F(AsyncSpillTest, ArenaRecyclesBuffersAcrossBlocks) {
     }
     ASSERT_EQ(i, run.size());
   }
-  // 8 blocks consumed through a depth-1 pipeline: far fewer allocations
-  // than 2 columns x 8 blocks means the freelist did its job.
-  EXPECT_GT(io.arena().reuses(), 0u);
-  EXPECT_LE(io.arena().allocations(), 6u)
-      << "alloc per block means recycling is broken";
+  EXPECT_EQ(io.arena().allocations(), 2u)
+      << "one lease per column, not one per block or per cursor";
+  EXPECT_EQ(io.arena().reuses(), 2u) << "the second cursor recycled both";
 }
 
 // ---------------------------------------------------------------------------
@@ -269,7 +236,7 @@ TEST_F(AsyncSpillTest, ArenaRecyclesBuffersAcrossBlocks) {
 
 TEST_F(AsyncSpillTest, CleanExitLeavesSpillDirEmpty) {
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
+  AsyncIoBackend io(TestIoOptions());
   {
     auto plane = FillPlane(&dir, &io);
     ASSERT_GT(plane->spill_files(), 0u);
@@ -282,7 +249,7 @@ TEST_F(AsyncSpillTest, CleanExitLeavesSpillDirEmpty) {
 
 TEST_F(AsyncSpillTest, AbortWithWritesInFlightLeavesSpillDirEmpty) {
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions(/*queue_depth=*/8));
+  AsyncIoBackend io(TestIoOptions(/*queue_depth=*/8));
   {
     // Destroy the plane right after Accept, with writes still possibly in
     // flight and no merge ever run -- the mid-round unwind path.
@@ -296,7 +263,7 @@ TEST_F(AsyncSpillTest, AbortWithWritesInFlightLeavesSpillDirEmpty) {
 
 TEST_F(AsyncSpillTest, ReducerExceptionUnwindLeavesSpillDirEmpty) {
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
+  AsyncIoBackend io(TestIoOptions());
   try {
     auto plane = FillPlane(&dir, &io);
     plane->Merge([](const uint64_t&, const uint64_t&) {
@@ -312,7 +279,7 @@ TEST_F(AsyncSpillTest, ReducerExceptionUnwindLeavesSpillDirEmpty) {
 TEST_F(AsyncSpillTest, ExhaustedRetriesLeaveSpillDirEmpty) {
   ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.write=error:ENOSPC").ok());
   SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
+  AsyncIoBackend io(TestIoOptions());
   {
     auto plane = FillPlane(&dir, &io);
     EXPECT_EQ(plane->spill_files(), 0u);
@@ -330,91 +297,44 @@ TEST_F(AsyncSpillTest, ExhaustedRetriesLeaveSpillDirEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// The async failpoint sites.
+// The submit/collect failpoint sites fire on both backends.
 // ---------------------------------------------------------------------------
 
 TEST_F(AsyncSpillTest, SubmitFailpointPinsRunBeforeSubmission) {
-  ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.submit=error:EIO").ok());
-  SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
-  auto plane = FillPlane(&dir, &io);
-  EXPECT_EQ(plane->spill_files(), 0u) << "every submission was rejected";
-  EXPECT_GT(plane->spill_fallbacks(), 0u);
-  EXPECT_EQ(plane->spill_retries(), 0u) << "rejected before any write ran";
-  Failpoints::DisarmAll();
-  EXPECT_EQ(Drain(*plane).size(), 8u * 2000u);
-  if (dir.created()) {
-    EXPECT_EQ(FilesIn(dir.path()), 0u);
+  for (IoBackendKind kind : kBothBackends) {
+    SCOPED_TRACE(IoBackendKindName(kind));
+    ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.submit=error:EIO").ok());
+    SpillDir dir;
+    auto io = MakeIoBackend(TestIoOptions(/*queue_depth=*/4, kind));
+    auto plane = FillPlane(&dir, io.get());
+    EXPECT_EQ(plane->spill_files(), 0u) << "every submission was rejected";
+    EXPECT_GT(plane->spill_fallbacks(), 0u);
+    EXPECT_EQ(plane->spill_retries(), 0u) << "rejected before any write ran";
+    Failpoints::DisarmAll();
+    EXPECT_EQ(Drain(*plane).size(), 8u * 2000u);
+    if (dir.created()) {
+      EXPECT_EQ(FilesIn(dir.path()), 0u);
+    }
   }
 }
 
 TEST_F(AsyncSpillTest, CompleteFailpointRemovesFileAndFallsBack) {
-  ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.complete=once:EIO").ok());
-  SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
-  auto plane = FillPlane(&dir, &io);
-  const uint64_t files = plane->spill_files();  // forces collection
-  EXPECT_GT(plane->spill_fallbacks(), 0u) << "one completion was rejected";
-  Failpoints::DisarmAll();
-  // On-disk file count matches the registered count: the rejected write's
-  // file was removed at collection, not leaked.
-  ASSERT_TRUE(dir.created());
-  EXPECT_EQ(FilesIn(dir.path()), files);
-  // And the plane still merges everything (rejected run went resident).
-  EXPECT_EQ(Drain(*plane).size(), 8u * 2000u);
-}
-
-TEST_F(AsyncSpillTest, PrefetchFailpointRetriesTransientErrno) {
-  SpillDir dir;
-  AsyncIoBackend io(AsyncOptions());
-  TestRun run = MakeRun(11, 2 * 4096);
-  SpillFileInfo info = WriteGood(&dir, run);
-  // Transient once: the prefetch job retries in place and succeeds.
-  ASSERT_TRUE(Failpoints::ArmFromSpec("spill.read.prefetch=once:EAGAIN").ok());
-  {
-    FileRunCursor<uint64_t, uint64_t> cursor(
-        info, 0, info.num_pairs,
-        FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-        io.options().retry, &io);
-    const uint64_t* k = nullptr;
-    const uint64_t* v = nullptr;
-    uint64_t total = 0;
-    for (uint64_t got; (got = cursor.NextBlock(&k, &v)) > 0;) total += got;
-    EXPECT_EQ(total, run.size());
+  for (IoBackendKind kind : kBothBackends) {
+    SCOPED_TRACE(IoBackendKindName(kind));
+    ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.complete=once:EIO").ok());
+    SpillDir dir;
+    auto io = MakeIoBackend(TestIoOptions(/*queue_depth=*/4, kind));
+    auto plane = FillPlane(&dir, io.get());
+    const uint64_t files = plane->spill_files();  // forces collection
+    EXPECT_GT(plane->spill_fallbacks(), 0u) << "one completion was rejected";
+    Failpoints::DisarmAll();
+    // On-disk file count matches the registered count: the rejected write's
+    // file was removed at collection, not leaked.
+    ASSERT_TRUE(dir.created());
+    EXPECT_EQ(FilesIn(dir.path()), files);
+    // And the plane still merges everything (rejected run went resident).
+    EXPECT_EQ(Drain(*plane).size(), 8u * 2000u);
   }
-  Failpoints::DisarmAll();
-  // Persistent EIO: surfaces as SpillIoError at the block handoff.
-  ASSERT_TRUE(Failpoints::ArmFromSpec("spill.read.prefetch=error:EIO").ok());
-  FileRunCursor<uint64_t, uint64_t> cursor(
-      info, 0, info.num_pairs,
-      FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-      io.options().retry, &io);
-  const uint64_t* k = nullptr;
-  const uint64_t* v = nullptr;
-  try {
-    cursor.NextBlock(&k, &v);
-    FAIL() << "failed prefetch served data";
-  } catch (const SpillIoError& e) {
-    EXPECT_EQ(e.io().op, IoResult::Op::kRead);
-    EXPECT_EQ(e.io().err, EIO);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Typed construction through the seam.
-// ---------------------------------------------------------------------------
-
-TEST_F(AsyncSpillTest, CursorCreateReturnsStatusInsteadOfThrowing) {
-  SpillDir dir;
-  TestRun run = MakeRun(12, 100);
-  SpillFileInfo info = WriteGood(&dir, run);
-  auto good = FileRunCursor<uint64_t, uint64_t>::Create(info, 0, info.num_pairs);
-  ASSERT_TRUE(good.ok()) << good.status().ToString();
-  info.path = dir.path() / "does-not-exist.spill";
-  auto bad = FileRunCursor<uint64_t, uint64_t>::Create(info, 0, info.num_pairs);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().ToString().find("open"), std::string::npos)
-      << bad.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -459,9 +379,7 @@ std::vector<Pair> RunSpillingJob(MrEnv* env) {
 TEST_F(AsyncSpillTest, MrEnvRoundMatchesAcrossBackendsAndShuffleBufferKnob) {
   MrEnv sync_env;
   sync_env.io.backend = IoBackendKind::kSync;
-  // The consolidated knob, not the deprecated CostModel field.
-  sync_env.io.shuffle_buffer_bytes = 2048;
-  ASSERT_EQ(sync_env.ResolvedShuffleBufferBytes(), 2048u);
+  sync_env.io.shuffle_buffer_bytes = 2048;  // small enough to force spills
   const auto want = RunSpillingJob(&sync_env);
   ASSERT_GT(sync_env.stats.counters.Get("shuffle_spill_files"), 0u);
 

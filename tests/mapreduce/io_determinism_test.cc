@@ -2,9 +2,8 @@
 // the async data plane (core/io.h) promises bit-identical synopses,
 // counters, and shuffle accounting for all 7 algorithms, across the same
 // threads x reduce-tasks x spill knobs the SIMD determinism suite exercises.
-// This is the acceptance gate for the overlapped spill writes and the merge
-// read-ahead: they may only change *when* bytes move, never what any
-// observer sees.
+// This is the acceptance gate for the overlapped spill writes: they may only
+// change *when* bytes move, never what any observer sees.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,7 +31,7 @@ struct Case {
   int threads;
   int reduce_tasks = 0;
   uint64_t shuffle_buffer_bytes = 0;  // 0 = default budget (no spill)
-  int prefetch_depth = 1;
+  int queue_depth = IoOptions().queue_depth;
 };
 
 std::string CaseName(const testing::TestParamInfo<Case>& info) {
@@ -45,8 +44,8 @@ std::string CaseName(const testing::TestParamInfo<Case>& info) {
     name += "_r" + std::to_string(info.param.reduce_tasks);
   }
   if (info.param.shuffle_buffer_bytes > 0) name += "_spill";
-  if (info.param.prefetch_depth != 1) {
-    name += "_p" + std::to_string(info.param.prefetch_depth);
+  if (info.param.queue_depth != IoOptions().queue_depth) {
+    name += "_q" + std::to_string(info.param.queue_depth);
   }
   return name;
 }
@@ -60,10 +59,8 @@ BuildResult BuildOnBackend(const Dataset& ds, const Case& c,
   opt.threads = c.threads;
   opt.reduce_tasks = c.reduce_tasks;
   opt.io.backend = backend;
-  opt.io.prefetch_depth = c.prefetch_depth;
+  opt.io.queue_depth = c.queue_depth;
   opt.io.retry.backoff_initial_us = 0;
-  // Forced spills go through the consolidated IoOptions knob so the new
-  // spelling is what this suite proves bit-identical.
   if (c.shuffle_buffer_bytes > 0) {
     opt.io.shuffle_buffer_bytes = c.shuffle_buffer_bytes;
   }
@@ -119,9 +116,10 @@ const std::vector<AlgorithmKind>& AllKinds() {
 
 // Every algorithm under: serial; threaded + partitioned reduce; threaded +
 // partitioned reduce + forced spill (the case where the async plane actually
-// overlaps writes and prefetches merge reads). The exact algorithms add a
-// deep-prefetch spill case -- their sorted rounds are the heaviest spill
-// users -- and one prefetch-disabled case to pin the depth-0 inline path.
+// overlaps writes). The exact algorithms -- their sorted rounds are the
+// heaviest spill users -- add spill cases at both ends of the write queue:
+// depth 16 keeps many writes uncollected, depth 1 collects each write
+// before the next is submitted.
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
   for (AlgorithmKind kind : AllKinds()) {
@@ -134,10 +132,10 @@ std::vector<Case> AllCases() {
        {AlgorithmKind::kSendCoef, AlgorithmKind::kHWTopk}) {
     cases.push_back(Case{kind, /*threads=*/4, /*reduce_tasks=*/2,
                          /*shuffle_buffer_bytes=*/4096,
-                         /*prefetch_depth=*/4});
+                         /*queue_depth=*/16});
     cases.push_back(Case{kind, /*threads=*/2, /*reduce_tasks=*/2,
                          /*shuffle_buffer_bytes=*/4096,
-                         /*prefetch_depth=*/0});
+                         /*queue_depth=*/1});
   }
   return cases;
 }

@@ -33,7 +33,7 @@ BuildResult BuildWith(const Dataset& ds, AlgorithmKind kind, int threads,
   opt.threads = threads;
   opt.reduce_tasks = reduce_tasks;
   if (shuffle_buffer_bytes > 0) {
-    opt.cost_model.shuffle_buffer_bytes = shuffle_buffer_bytes;
+    opt.io.shuffle_buffer_bytes = shuffle_buffer_bytes;
   }
   auto result = BuildWaveletHistogram(ds, kind, opt);
   EXPECT_TRUE(result.ok()) << result.status().ToString();

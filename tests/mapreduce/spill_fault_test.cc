@@ -27,8 +27,8 @@ class SpillFaultTest : public ::testing::Test {
   void TearDown() override { Failpoints::DisarmAll(); }
 
   /// No-backoff policy so retry tests run instantly.
-  static SpillIoPolicy FastPolicy() {
-    SpillIoPolicy p;
+  static IoRetryPolicy FastPolicy() {
+    IoRetryPolicy p;
     p.backoff_initial_us = 0;
     return p;
   }
@@ -245,7 +245,7 @@ std::vector<std::pair<uint64_t, uint64_t>> RunSpillingJob(MrEnv* env) {
 
 TEST_F(SpillFaultTest, EnospcEverywhereKeepsResultsBitIdentical) {
   MrEnv clean_env;
-  clean_env.cost_model.shuffle_buffer_bytes = 1024;  // forces real spills
+  clean_env.io.shuffle_buffer_bytes = 1024;  // forces real spills
   const auto clean = RunSpillingJob(&clean_env);
   ASSERT_GT(clean_env.stats.counters.Get("shuffle_spill_files"), 0u);
   EXPECT_EQ(clean_env.stats.counters.Get("shuffle_spill_fallbacks"), 0u);
@@ -254,7 +254,7 @@ TEST_F(SpillFaultTest, EnospcEverywhereKeepsResultsBitIdentical) {
   // resident and deliver the same pairs in the same order.
   ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.write=error:ENOSPC").ok());
   MrEnv faulty_env;
-  faulty_env.cost_model.shuffle_buffer_bytes = 1024;
+  faulty_env.io.shuffle_buffer_bytes = 1024;
   const auto faulty = RunSpillingJob(&faulty_env);
   Failpoints::DisarmAll();
 

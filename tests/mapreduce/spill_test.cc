@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -48,9 +49,8 @@ SpillFileInfo WriteRun(SpillDir* dir, const TestRun& run) {
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> ReadBack(const SpillFileInfo& info,
-                                                    uint64_t begin, uint64_t end,
-                                                    uint64_t block_pairs) {
-  FileRunCursor<uint64_t, uint64_t> cursor(info, begin, end, block_pairs);
+                                                    uint64_t begin, uint64_t end) {
+  FileRunCursor<uint64_t, uint64_t> cursor(info, begin, end);
   std::vector<std::pair<uint64_t, uint64_t>> out;
   const uint64_t* keys = nullptr;
   const uint64_t* values = nullptr;
@@ -61,8 +61,8 @@ std::vector<std::pair<uint64_t, uint64_t>> ReadBack(const SpillFileInfo& info,
 }
 
 // The satellite property test: write runs -> FileRunCursor read-back ==
-// original, across run lengths (including empty), duplicate-heavy key
-// domains, and block sizes that do and do not divide the run length.
+// original, across run lengths (including empty and one past a checksum
+// block) and duplicate-heavy key domains.
 TEST(SpillFileTest, RoundTripMatchesOriginal) {
   SpillDir dir;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -72,13 +72,11 @@ TEST(SpillFileTest, RoundTripMatchesOriginal) {
         SpillFileInfo info = WriteRun(&dir, run);
         EXPECT_EQ(info.file_bytes, (SpillFileBytes<uint64_t, uint64_t>(len)));
         EXPECT_EQ(info.file_bytes, fs::file_size(info.path));
-        for (uint64_t block : {uint64_t{1}, uint64_t{64}, uint64_t{100000}}) {
-          auto got = ReadBack(info, 0, run.size(), block);
-          ASSERT_EQ(got.size(), run.size());
-          for (size_t i = 0; i < run.size(); ++i) {
-            EXPECT_EQ(got[i].first, run.keys[i]) << "pair " << i;
-            EXPECT_EQ(got[i].second, run.values[i]) << "pair " << i;
-          }
+        auto got = ReadBack(info, 0, run.size());
+        ASSERT_EQ(got.size(), run.size());
+        for (size_t i = 0; i < run.size(); ++i) {
+          EXPECT_EQ(got[i].first, run.keys[i]) << "pair " << i;
+          EXPECT_EQ(got[i].second, run.values[i]) << "pair " << i;
         }
       }
     }
@@ -89,34 +87,70 @@ TEST(SpillFileTest, SubrangeCursorReadsExactSlice) {
   SpillDir dir;
   TestRun run = RandomSortedRun(9, 500, 64);
   SpillFileInfo info = WriteRun(&dir, run);
-  auto got = ReadBack(info, 100, 350, /*block_pairs=*/32);
+  auto got = ReadBack(info, 100, 350);
   ASSERT_EQ(got.size(), 250u);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].first, run.keys[100 + i]);
     EXPECT_EQ(got[i].second, run.values[100 + i]);
   }
   // Degenerate slices.
-  EXPECT_TRUE(ReadBack(info, 200, 200, 32).empty());
-  EXPECT_TRUE(ReadBack(info, 500, 500, 32).empty());
+  EXPECT_TRUE(ReadBack(info, 200, 200).empty());
+  EXPECT_TRUE(ReadBack(info, 500, 500).empty());
 }
 
-TEST(SpillFileTest, LowerBoundIndexMatchesInMemorySearch) {
+// SpillKeyProbe's exact bounds equal std::lower_bound / std::upper_bound
+// over the in-memory run, with and without the sparse block index, and the
+// zero-IO brackets always contain the exact answer. The run spans four
+// checksum blocks and its duplicate groups straddle every block boundary.
+TEST(SpillFileTest, KeyProbeMatchesInMemorySearch) {
   SpillDir dir;
-  TestRun run = RandomSortedRun(11, 777, 50);  // heavy duplication
-  SpillFileInfo info = WriteRun(&dir, run);
-  for (uint64_t key = 0; key <= 51; ++key) {
-    const uint64_t want = static_cast<uint64_t>(
-        std::lower_bound(run.keys.begin(), run.keys.end(), key) -
-        run.keys.begin());
-    EXPECT_EQ((FileRunCursor<uint64_t, uint64_t>::LowerBoundIndex(info, key)),
-              want)
-        << "key " << key;
+  TestRun run = RandomSortedRun(11, 3 * kSpillIndexBlockPairs + 777, 50);
+  for (uint64_t b = 1; b * kSpillIndexBlockPairs < run.size(); ++b) {
+    const size_t at = static_cast<size_t>(b * kSpillIndexBlockPairs);
+    ASSERT_EQ(run.keys[at - 1], run.keys[at])
+        << "a key group must straddle block boundary " << b;
+  }
+  SpillFileInfo indexed = WriteRun(&dir, run);
+  for (uint64_t b = 0; b * kSpillIndexBlockPairs < run.size(); ++b) {
+    indexed.block_keys.push_back(run.keys[b * kSpillIndexBlockPairs]);
+  }
+  SpillFileInfo unindexed = indexed;
+  unindexed.block_keys.clear();
+
+  for (const SpillFileInfo* info : {&indexed, &unindexed}) {
+    const bool has_index = !info->block_keys.empty();
+    SpillKeyProbe<uint64_t> probe(*info);
+    for (uint64_t key = 0; key <= 51; ++key) {
+      const uint64_t lower = static_cast<uint64_t>(
+          std::lower_bound(run.keys.begin(), run.keys.end(), key) -
+          run.keys.begin());
+      const uint64_t upper = static_cast<uint64_t>(
+          std::upper_bound(run.keys.begin(), run.keys.end(), key) -
+          run.keys.begin());
+      EXPECT_EQ(probe.LowerBound(key), lower) << "key " << key;
+      EXPECT_EQ(probe.UpperBound(key), upper) << "key " << key;
+      const auto lb = probe.LowerBoundBounds(key);
+      const auto ub = probe.UpperBoundBounds(key);
+      EXPECT_LE(lb.min, lower) << "key " << key;
+      EXPECT_GE(lb.max, lower) << "key " << key;
+      EXPECT_LE(ub.min, upper) << "key " << key;
+      EXPECT_GE(ub.max, upper) << "key " << key;
+      if (has_index) {
+        // The sparse index narrows every bracket to within one block.
+        EXPECT_LE(lb.max - lb.min, kSpillIndexBlockPairs) << "key " << key;
+        EXPECT_LE(ub.max - ub.min, kSpillIndexBlockPairs) << "key " << key;
+      }
+    }
+    EXPECT_EQ(probe.UpperBound(std::numeric_limits<uint64_t>::max()),
+              run.size());
   }
 
   TestRun empty;
   empty.SortByKey();
   SpillFileInfo einfo = WriteRun(&dir, empty);
-  EXPECT_EQ((FileRunCursor<uint64_t, uint64_t>::LowerBoundIndex(einfo, 0)), 0u);
+  SpillKeyProbe<uint64_t> eprobe(einfo);
+  EXPECT_EQ(eprobe.LowerBound(0), 0u);
+  EXPECT_EQ(eprobe.UpperBound(0), 0u);
 }
 
 TEST(SpillDirTest, LazyCreationAndRemoval) {
@@ -192,7 +226,7 @@ InMemoryDataset SpillDataset() {
 TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
-  env.cost_model.shuffle_buffer_bytes = 1024;  // forces real spills
+  env.io.shuffle_buffer_bytes = 1024;  // forces real spills
   NullReducer reducer;
   RunRound(SpillingPlan(&reducer), ds, &env);
   EXPECT_GT(env.stats.counters.Get("shuffle_spill_files"), 0u);
@@ -203,7 +237,7 @@ TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
 TEST(SpillCleanupTest, ThrowingReducerLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
-  env.cost_model.shuffle_buffer_bytes = 1024;
+  env.io.shuffle_buffer_bytes = 1024;
   ThrowingFinishReducer reducer;
   EXPECT_THROW(RunRound(SpillingPlan(&reducer), ds, &env), std::runtime_error);
   ASSERT_TRUE(env.spill_dir.created());

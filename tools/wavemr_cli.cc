@@ -9,8 +9,7 @@
 //                              --stats | --rebuild)
 //       query a running server
 //
-// A legacy flat invocation (first argument is a --flag) forwards to `build`
-// with a deprecation warning. Exit code 0 on success; errors go to stderr.
+// Exit code 0 on success; errors go to stderr.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -86,8 +85,8 @@ int BuildMain(int argc, char** argv, int start) {
   auto kind = ParseAlgorithmKind(build.algo);
   if (!kind.ok()) return FlagError(kind.status(), parser);
 
-  auto result =
-      BuildWaveletHistogram(**dataset, *kind, build.ToBuildOptions(data.seed));
+  const BuildOptions options = build.ToBuildOptions(data.seed);
+  auto result = BuildWaveletHistogram(**dataset, *kind, options);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  result.status().ToString().c_str());
@@ -115,14 +114,9 @@ int BuildMain(int argc, char** argv, int start) {
   std::printf("spill sim s : %.2f\n", result->stats.TotalSpillSeconds());
   // Engine line, "spill"-prefixed so bit-identity diffs that compare sync
   // vs async runs filter it with the other spill/timing lines.
-  std::printf("spill io    : %s (queue %d, prefetch %d)\n",
-              IoBackendKindName(
-                  IoOptions{.backend = *io_backend,
-                            .queue_depth = build.io_queue_depth,
-                            .prefetch_depth = build.io_prefetch_depth,
-                            .retry = {}}
-                      .ResolvedBackend()),
-              build.io_queue_depth, build.io_prefetch_depth);
+  std::printf("spill io    : %s (queue %d)\n",
+              IoBackendKindName(options.io.ResolvedBackend()),
+              options.io.queue_depth);
   // Recovery telemetry (0/0 on a healthy disk; environment-dependent, so
   // bit-identity diffs must filter this line like the timing lines).
   std::printf("spill rescue: %llu fallbacks, %llu retries\n",
@@ -313,13 +307,6 @@ int Main(int argc, char** argv) {
   if (cmd == "--help" || cmd == "-h") {
     Usage();
     return 0;
-  }
-  if (cmd.rfind("--", 0) == 0) {
-    // Legacy flat invocation (pre-subcommand scripts): forward to build.
-    std::fprintf(stderr,
-                 "wavemr_cli: flat flags are deprecated; use "
-                 "`wavemr_cli build ...`\n");
-    return BuildMain(argc, argv, 1);
   }
   std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   return Usage();
