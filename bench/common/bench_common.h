@@ -236,10 +236,10 @@ ExternalMergeKernelResult RunExternalMergeKernel(
 /// Two timed comparisons with checksummed outputs:
 ///  - hash kernel: per-item packed (sign, sub-bucket) resolution for one
 ///    repetition (Hash2 + Hash4 over GF(2^61-1) plus the sub-bucket
-///    reduction), scalar table vs the best runtime tier (core/simd.h), 4
-///    lanes per call in both so the ratio isolates the vector math;
+///    reduction), scalar table vs the best runtime tier (core/simd.h),
+///    through the block kernel in both so the ratio isolates the vector math;
 ///  - full UpdateBatch over sorted items under a forced scalar tier vs the
-///    best tier (memo, group caching, and counter writes included -- the
+///    best tier (group caching and counter writes included -- the
 ///    end-to-end map effect).
 /// Equal checksums prove the tiers computed identical hashes / tables.
 struct GcsUpdateKernelOptions {

@@ -2,6 +2,7 @@
 #define WAVEMR_MAPREDUCE_JOB_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -29,7 +30,6 @@
 #include "mapreduce/split_access.h"
 #include "mapreduce/state_store.h"
 #include "mapreduce/stats.h"
-#include "mapreduce/steal.h"
 
 namespace wavemr {
 
@@ -145,59 +145,47 @@ struct MapTaskOutput {
 };
 
 /// Outcome of one sorted-round delivery: the partition count actually used
-/// plus the planned per-range load and the steal count for RoundStats.
+/// plus the planned per-range load for RoundStats.
 struct SortedMergeResult {
   int reduce_tasks_used = 1;
   uint64_t range_max_pairs = 0;  // planned pairs in the largest range
   uint64_t range_min_pairs = 0;  // planned pairs in the smallest range
-  uint64_t steals = 0;           // schedule-dependent; wall-clock only
 };
 
 /// Sorted-round delivery: merges the plane's retained + spilled runs into
 /// `absorb`, planned as `reduce_tasks` equi-depth partitions at exact
 /// global ranks r*n/R, so each range holds n/R pairs within one regardless
-/// of key skew. Parallel delivery (pool_threads > 1) cuts the stream at
-/// those ranks (ShufflePlane::CutForRank binary-searches every resident run
-/// in memory and every spilled run on disk) and claims ranges in rank
-/// slices through a RankStealScheduler: finished workers steal the upper
-/// half of a straggler's unclaimed tail and merge it through the same loser
-/// tree. Workers stage each slice's pairs in columnar buffers and the
-/// driver absorbs staged slices in ascending rank order -- exactly the
-/// stream a single full merge delivers. Serial delivery is that single full
-/// merge, with no cuts at all. Results are bit-identical for every
-/// (reduce_tasks, threads, buffer size, steal schedule) combination.
+/// of key skew. Parallel delivery (pool_threads > 1) cuts the stream into
+/// fixed-size rank slices that workers claim in ascending order from one
+/// shared counter. Each worker cuts its slice at both ends
+/// (ShufflePlane::CutForRank binary-searches every resident run in memory
+/// and every spilled run on disk), merges it through the same loser tree
+/// and stages the pairs in columnar buffers; the driver absorbs staged
+/// slices in ascending rank order -- exactly the stream a single full merge
+/// delivers. Serial delivery is that single full merge, with no cuts at
+/// all. Results are bit-identical for every (reduce_tasks, threads, buffer
+/// size, slice size) combination.
 ///
-/// `steal_slice_pairs` overrides the claim granularity (0 = auto); tests
-/// use tiny slices to force many-slice, steal-heavy schedules.
+/// `slice_pairs` overrides the claim granularity (0 = auto); tests use tiny
+/// slices to force many-slice schedules.
 template <typename K, typename V, typename Absorb>
 SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
                                      int reduce_tasks, int pool_threads,
                                      Absorb&& absorb,
-                                     uint64_t steal_slice_pairs = 0) {
+                                     uint64_t slice_pairs = 0) {
   SortedMergeResult result;
   const uint64_t n = plane.pairs();
   result.range_max_pairs = n;
   result.range_min_pairs = n;
-  const int R = reduce_tasks;
-  std::vector<uint64_t> bounds;
+  const uint64_t R = reduce_tasks > 1 ? static_cast<uint64_t>(reduce_tasks) : 1;
   if (R > 1 && n > 0) {
-    // Equi-depth boundaries at exact global ranks. When n < R the excess
-    // ranges are planned empty (duplicate bounds).
-    bounds.resize(static_cast<size_t>(R) + 1);
-    for (int r = 0; r <= R; ++r) {
-      bounds[static_cast<size_t>(r)] = static_cast<uint64_t>(
-          (static_cast<unsigned __int128>(n) * static_cast<unsigned>(r)) /
-          static_cast<unsigned>(R));
-    }
-    result.reduce_tasks_used = R;
-    result.range_max_pairs = 0;
-    for (int r = 0; r < R; ++r) {
-      const uint64_t c = bounds[r + 1] - bounds[r];
-      result.range_max_pairs = std::max(result.range_max_pairs, c);
-      result.range_min_pairs = std::min(result.range_min_pairs, c);
-    }
+    // Boundaries floor(r*n/R) give every range floor(n/R) or ceil(n/R)
+    // pairs; when n < R the excess ranges are planned empty.
+    result.reduce_tasks_used = reduce_tasks;
+    result.range_max_pairs = n / R + (n % R != 0 ? 1 : 0);
+    result.range_min_pairs = n / R;
   }
-  if (bounds.empty() || pool_threads <= 1) {
+  if (R == 1 || n == 0 || pool_threads <= 1) {
     // One range, or a serial reduce: the planned ranges concatenate to the
     // full merge's stream, so deliver that stream straight into the reducer.
     plane.Merge(absorb);
@@ -208,87 +196,79 @@ SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
     std::vector<V> values;
   };
   // Claim granularity: coarse enough that the per-slice cut searches are
-  // noise, fine enough that a straggler's tail is worth stealing.
+  // noise, fine enough that the workers share a skewed tail evenly.
   const uint64_t slice =
-      steal_slice_pairs > 0
-          ? steal_slice_pairs
-          : std::max<uint64_t>(4096, n / (static_cast<uint64_t>(R) * 8));
-  RankStealScheduler sched(bounds, slice, 2 * slice);
+      slice_pairs > 0 ? slice_pairs : std::max<uint64_t>(4096, n / (R * 8));
+  const uint64_t num_slices = n / slice + (n % slice != 0 ? 1 : 0);
   ThreadPool* pool = env->EnsurePool(pool_threads);
+  std::atomic<uint64_t> next_slice{0};
+  // Set (under `mu`, so cv waiters see it) by whichever side fails first;
+  // workers also poll it before claiming, so they stop touching the plane.
+  std::atomic<bool> stop{false};
   std::mutex mu;
   std::condition_variable cv;
   std::map<uint64_t, Staged> staged;  // begin rank -> merged slice
   uint64_t staged_pairs = 0;          // payload pairs parked in `staged`
   uint64_t frontier = 0;              // next rank the driver absorbs
-  bool stop = false;
   std::exception_ptr worker_error;
-  // Bounded staging, like the old sliding window: workers park at most ~2
-  // slices per thread ahead of the driver, so peak staging memory stays a
-  // small slice-sized fraction of the merged payload even when one worker
-  // races far ahead of the absorb frontier.
+  // Bounded staging: workers park at most ~2 slices per thread ahead of the
+  // driver, so peak staging memory stays a small slice-sized fraction of the
+  // merged payload. Slices are claimed in rank order, so the slice at the
+  // frontier is always already claimed and every worker stays within the
+  // cap of it.
   const uint64_t staged_cap =
       slice * (2 * static_cast<uint64_t>(pool_threads) + 2);
   auto worker = [&] {
     try {
-      size_t chunk = 0;
-      while (sched.NextChunk(&chunk)) {
-        MergeCut<K> lo_cut;
-        uint64_t lo_rank = 0;
-        bool have_lo = false;
-        RankStealScheduler::Slice sl;
-        while (sched.ClaimSlice(chunk, &sl)) {
-          // Consecutive slices of one chunk share a boundary: reuse the
-          // previous upper cut instead of re-searching.
-          if (!have_lo || lo_rank != sl.begin) {
-            lo_cut = plane.CutForRank(sl.begin);
-          }
-          const bool has_hi = sl.end < n;
-          MergeCut<K> hi_cut;
-          if (has_hi) hi_cut = plane.CutForRank(sl.end);
-          Staged s;
-          s.keys.reserve(sl.end - sl.begin);
-          s.values.reserve(sl.end - sl.begin);
-          plane.MergeCutRange(lo_cut, has_hi, hi_cut,
-                              [&s](const K& k, const V& v) {
-                                s.keys.push_back(k);
-                                s.values.push_back(v);
-                              });
-          {
-            std::unique_lock<std::mutex> lock(mu);
-            // The slice the driver is waiting for must never block on the
-            // cap, or the pipeline deadlocks.
-            cv.wait(lock, [&] {
-              return stop || sl.begin == frontier || staged_pairs < staged_cap;
-            });
-            if (stop) return;
-            staged_pairs += s.keys.size();
-            staged.emplace(sl.begin, std::move(s));
-          }
-          cv.notify_all();
-          lo_cut = hi_cut;
-          lo_rank = sl.end;
-          have_lo = has_hi;
+      while (!stop.load()) {
+        const uint64_t i = next_slice.fetch_add(1);
+        if (i >= num_slices) break;
+        const uint64_t begin = i * slice;
+        const uint64_t end = std::min(n, begin + slice);
+        const MergeCut<K> lo_cut = plane.CutForRank(begin);
+        const bool has_hi = end < n;
+        MergeCut<K> hi_cut;
+        if (has_hi) hi_cut = plane.CutForRank(end);
+        Staged s;
+        s.keys.reserve(end - begin);
+        s.values.reserve(end - begin);
+        plane.MergeCutRange(lo_cut, has_hi, hi_cut,
+                            [&s](const K& k, const V& v) {
+                              s.keys.push_back(k);
+                              s.values.push_back(v);
+                            });
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          // The slice the driver is waiting for must never block on the
+          // cap, or the pipeline deadlocks.
+          cv.wait(lock, [&] {
+            return stop.load() || begin == frontier ||
+                   staged_pairs < staged_cap;
+          });
+          if (stop.load()) return;
+          staged_pairs += s.keys.size();
+          staged.emplace(begin, std::move(s));
         }
+        cv.notify_all();
       }
     } catch (...) {
-      sched.Abort();
       {
         std::lock_guard<std::mutex> lock(mu);
         if (!worker_error) worker_error = std::current_exception();
-        stop = true;
+        stop.store(true);
       }
       cv.notify_all();
     }
   };
-  const int workers = pool_threads < R ? pool_threads : R;
+  const uint64_t workers = std::min(static_cast<uint64_t>(pool_threads), R);
   std::vector<std::future<void>> futs;
-  futs.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
+  futs.reserve(workers);
+  for (uint64_t w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
   try {
     std::unique_lock<std::mutex> lock(mu);
     while (frontier < n) {
-      cv.wait(lock, [&] { return stop || staged.count(frontier) > 0; });
-      if (stop) break;
+      cv.wait(lock, [&] { return stop.load() || staged.count(frontier) > 0; });
+      if (stop.load()) break;
       auto it = staged.find(frontier);
       Staged s = std::move(it->second);
       staged.erase(it);
@@ -307,10 +287,9 @@ SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
     // The reducer threw on the driver. Running workers reference this
     // frame's plane and locals; stop them and wait them out before the
     // frame unwinds.
-    sched.Abort();
     {
       std::lock_guard<std::mutex> lock(mu);
-      stop = true;
+      stop.store(true);
     }
     cv.notify_all();
     for (auto& f : futs) {
@@ -320,7 +299,6 @@ SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
   }
   for (auto& f : futs) f.get();
   if (worker_error) std::rethrow_exception(worker_error);
-  result.steals = sched.steals();
   return result;
 }
 
@@ -520,7 +498,7 @@ struct JobPlan {
 /// shuffle accounting, counters, and reducer results are bit-identical for
 /// every thread count. Sorted rounds additionally partition the merge into
 /// env->reduce_tasks equi-depth global-rank ranges (0 = one per map thread)
-/// executed on the same pool with work stealing, and spill retained runs past
+/// merged on the same pool in rank slices, and spill retained runs past
 /// env->io.shuffle_buffer_bytes to env->spill_dir -- neither changes any
 /// result bit (see internal::DeliverSortedMerge and ShufflePlane).
 template <typename K2, typename V2>
@@ -676,7 +654,6 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
     round.reduce_tasks_used = merged.reduce_tasks_used;
     round.reduce_range_max_pairs = merged.range_max_pairs;
     round.reduce_range_min_pairs = merged.range_min_pairs;
-    round.reduce_steals = merged.steals;
     round.reduce_wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - reduce_start)
                                .count();
@@ -691,9 +668,11 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   round.shuffle_bytes = plane.wire_bytes();
   round.spill_files = plane.spill_files();
   round.spill_bytes = plane.spill_bytes();
-  // Every spilled payload byte is read back exactly once by the merge,
-  // independent of partition count or cursor block size -- charge the
-  // deterministic quantity, not the block-rounded fread total.
+  // Charge one read of every spilled payload byte: the simulated cost of a
+  // single merge, independent of partition count or cursor block size. The
+  // real read volume is higher under a parallel reduce, where each slice
+  // re-reads the blocks that straddle its cuts (perfbench reports the ratio
+  // as mapreduce.spill_read_amp); this field stays the deterministic charge.
   round.spill_read_bytes = plane.spill_payload_bytes();
   round.spill_s = env->cost_model.time_scale *
                   env->cost_model.SpillDiskSeconds(round.spill_bytes +

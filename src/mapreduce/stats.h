@@ -50,12 +50,16 @@ struct RoundStats {
   /// (dataset, reduce_tasks) -- planned counts, not scheduling outcomes.
   uint64_t reduce_range_max_pairs = 0;
   uint64_t reduce_range_min_pairs = 0;
-  /// Sub-ranges finished reduce workers stole from stragglers' unclaimed
-  /// tails. Schedule-dependent like reduce_wall_ms -- stealing moves
-  /// wall-clock, never bytes -- so determinism checks must skip it.
+  /// Always 0: the parallel reduce claims rank slices in order from one
+  /// shared counter, so no worker ever splits another's work. Kept because
+  /// the benchmark's per-layer report still reads it
+  /// (mapreduce.reduce_steals).
   uint64_t reduce_steals = 0;
   /// External shuffle spill: files written this round, bytes written to them
-  /// (framing included), and payload bytes the merge read back from disk.
+  /// (framing included), and the simulated read-back charge -- one read of
+  /// every spilled payload byte, as a single merge does. A parallel reduce
+  /// really reads more (each slice re-reads the blocks straddling its cuts);
+  /// this field is the deterministic charge, not the measured volume.
   uint64_t spill_files = 0;
   uint64_t spill_bytes = 0;
   uint64_t spill_read_bytes = 0;

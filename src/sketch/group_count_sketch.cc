@@ -35,12 +35,15 @@ GroupCountSketch::GroupCountSketch(uint64_t seed, size_t reps, size_t buckets,
     : reps_(reps),
       buckets_(buckets),
       subbuckets_(subbuckets),
-      seed_(seed),
-      table_(reps * buckets * subbuckets, 0.0) {
+      seed_(seed) {
   WAVEMR_CHECK_GE(reps, 1u);
   WAVEMR_CHECK_LE(reps, kMaxReps);
   WAVEMR_CHECK_GE(buckets, 1u);
   WAVEMR_CHECK_GE(subbuckets, 1u);
+  // UpdateBatch packs each item's sub-bucket and sign into one 32-bit slot.
+  WAVEMR_CHECK_LE(subbuckets, size_t{1} << 30)
+      << "sub-bucket index must fit the 31-bit packed slot";
+  table_.assign(reps * buckets * subbuckets, 0.0);
   rep_hash_.resize(reps);
   for (size_t r = 0; r < reps; ++r) {
     CopyCoeffs(PolyHash(Mix64(seed ^ (3 * r + 1)), 2), rep_hash_[r].g, 2);
@@ -84,165 +87,44 @@ void GroupCountSketch::Update(uint64_t group, uint64_t item, double value) {
   }
 }
 
-template <bool kPow2Sub>
-void GroupCountSketch::UpdateBatchImpl(const uint64_t* items, const double* values,
-                                       size_t n, uint32_t group_shift) {
-  // Blocked rep-outer loop: within a block each repetition's hash
-  // coefficients stay in registers and the group bucket is reused across
-  // runs of items sharing a dyadic group, while the block bound keeps the
-  // item/value stream L1-resident across the `reps` passes. Per-cell add
-  // order equals the scalar loop's (items in order within each rep), so
-  // results are bit-identical to calling Update n times. The sub-bucket
-  // reduction -- one per counter touch, the single hottest op in
-  // Send-Sketch -- compiles to a mask when subbuckets is a power of two
-  // (the default) instead of a runtime 64-bit division.
-  constexpr size_t kBlock = 256;
-  WAVEMR_DCHECK(subbuckets_ >= 1);
-  // The mask form of the sub-bucket reduction only exists for power-of-two
-  // widths; keep it visibly dead (zero) otherwise.
-  const uint64_t sub_mask = kPow2Sub ? subbuckets_ - 1 : 0;
-  const size_t row_stride = buckets_ * subbuckets_;
-  // Per-item hash memo for the low indices every error-tree path shares
-  // (see kMemoItems). Filled on first touch with the exact hash results, so
-  // memo hits and misses produce the same counter updates bit for bit. The
-  // packed slot keeps the sub-bucket in 31 bits; absurdly wide tables just
-  // skip the memo.
-  const uint64_t memo_bound = subbuckets_ <= (uint64_t{1} << 30) ? kMemoItems : 0;
-  if (memo_bound > 0 && item_memo_.empty()) {
-    item_memo_.assign(reps_ * kMemoItems, kMemoEmpty);
-  }
-  for (size_t base = 0; base < n; base += kBlock) {
-    const size_t end = std::min(n, base + kBlock);
-    double* rep_row = table_.data();
-    for (size_t r = 0; r < reps_; ++r, rep_row += row_stride) {
-      const RepHash h = rep_hash_[r];
-      uint32_t* memo_row =
-          memo_bound > 0 ? item_memo_.data() + r * kMemoItems : nullptr;
-      uint64_t cached_group = ~uint64_t{0};
-      double* row = nullptr;
-      for (size_t k = base; k < end; ++k) {
-        const uint64_t item = items[k];
-        const uint64_t group = group_shift >= 64 ? 0 : item >> group_shift;
-        if (group != cached_group || row == nullptr) {
-          cached_group = group;
-          row = rep_row + (Hash2(h.g, group % kPrime) % buckets_) * subbuckets_;
-        }
-        uint64_t sub;
-        bool positive;
-        if (item < memo_bound) {
-          uint32_t slot = memo_row[item];
-          if (slot == kMemoEmpty) {
-            const uint64_t ir = item % kPrime;
-            const uint64_t ih = Hash2(h.i, ir);
-            sub = kPow2Sub ? (ih & sub_mask) : (ih % subbuckets_);
-            positive = (Hash4(h.s, ir) & 1) != 0;
-            memo_row[item] = static_cast<uint32_t>(sub) |
-                             (positive ? 0x80000000u : 0u);
-          } else {
-            sub = slot & 0x7FFFFFFFu;
-            positive = (slot >> 31) != 0;
-          }
-        } else {
-          const uint64_t ir = item % kPrime;
-          const uint64_t ih = Hash2(h.i, ir);
-          sub = kPow2Sub ? (ih & sub_mask) : (ih % subbuckets_);
-          positive = (Hash4(h.s, ir) & 1) != 0;
-        }
-        const double value = values[k];
-        row[sub] += positive ? value : -value;
-      }
-    }
-  }
-}
-
 void GroupCountSketch::UpdateBatch(const uint64_t* items, const double* values,
                                    size_t n, uint32_t group_shift) {
-  const SimdKernels& k = SimdK();
-  if (k.tier != SimdTier::kScalar && subbuckets_ <= (uint64_t{1} << 30)) {
-    UpdateBatchSimd(k, items, values, n, group_shift);
-    return;
-  }
-  if ((subbuckets_ & (subbuckets_ - 1)) == 0) {
-    UpdateBatchImpl<true>(items, values, n, group_shift);
-  } else {
-    UpdateBatchImpl<false>(items, values, n, group_shift);
-  }
-}
-
-void GroupCountSketch::UpdateBatchSimd(const SimdKernels& k,
-                                       const uint64_t* items,
-                                       const double* values, size_t n,
-                                       uint32_t group_shift) {
-  // Same blocked rep-outer shape as UpdateBatchImpl, split into two passes
-  // per (block, rep): pass 1 resolves every item's packed (sign, sub-bucket)
-  // slot -- memo hits by lookup, misses gathered densely and hashed with ONE
-  // gcs_sub_sign_block call -- and pass 2 applies the adds in the original
-  // item order with the cached group row. One indirect call per (block, rep)
-  // is what makes the vector tier pay off: at 4-lane granularity the
-  // uninlinable dispatch call costs more than the vector hash saves. Hash
-  // values are integers and the kernel is exact, so pass 2 touches the same
-  // cells with the same values in the same order as the scalar loop: the
-  // table stays bit-identical.
+  // Blocked rep-outer loop, two passes per (block, rep). Pass 1 hashes the
+  // block's items into packed (sign, sub-bucket) slots with one
+  // gcs_sub_sign_block call on the active SIMD tier: one indirect call per
+  // (block, rep) is what lets the vector tier pay off, where a per-item call
+  // would cost more than the vector hash saves. Pass 2 applies the adds in
+  // input order, reusing the group row across runs of items sharing a
+  // dyadic group. The block bound keeps the item/value stream L1-resident
+  // across the `reps` passes. Hash values are exact integers in every tier,
+  // so each cell receives the same values in the same order as n calls to
+  // Update: the table is bit-identical.
   constexpr size_t kBlock = 256;
-  WAVEMR_DCHECK(subbuckets_ >= 1);
+  const SimdKernels& k = SimdK();
   const bool pow2 = (subbuckets_ & (subbuckets_ - 1)) == 0;
   const uint64_t sub_mask = pow2 ? subbuckets_ - 1 : 0;
   const size_t row_stride = buckets_ * subbuckets_;
-  const uint64_t memo_bound = kMemoItems;  // subbuckets_ <= 2^30 checked by caller
-  if (item_memo_.empty()) {
-    item_memo_.assign(reps_ * kMemoItems, kMemoEmpty);
-  }
   uint32_t packed[kBlock];
-  uint64_t pend_item[kBlock];
-  uint32_t pend_slot[kBlock];
-  uint16_t pend_pos[kBlock];
   for (size_t base = 0; base < n; base += kBlock) {
-    const size_t end = std::min(n, base + kBlock);
+    const size_t len = std::min(n - base, kBlock);
+    const uint64_t* block_items = items + base;
+    const double* block_values = values + base;
     double* rep_row = table_.data();
     for (size_t r = 0; r < reps_; ++r, rep_row += row_stride) {
-      const RepHash h = rep_hash_[r];
-      uint32_t* memo_row = item_memo_.data() + r * kMemoItems;
-      // Pass 1: pack (sign, sub) per item.
-      size_t npend = 0;
-      for (size_t i = base; i < end; ++i) {
-        const uint64_t item = items[i];
-        if (item < memo_bound) {
-          uint32_t slot = memo_row[item];
-          if (slot == kMemoEmpty) {
-            // Scalar fill: bit-identical to the vector kernel by contract
-            // (tests/core/simd_test.cc), and misses happen at most
-            // kMemoItems times per repetition.
-            const uint64_t ir = item % kPrime;
-            const uint64_t ih = Hash2(h.i, ir);
-            const uint64_t sub = pow2 ? (ih & sub_mask) : (ih % subbuckets_);
-            const bool positive = (Hash4(h.s, ir) & 1) != 0;
-            slot = static_cast<uint32_t>(sub) | (positive ? 0x80000000u : 0u);
-            memo_row[item] = slot;
-          }
-          packed[i - base] = slot;
-        } else {
-          pend_item[npend] = item;
-          pend_pos[npend] = static_cast<uint16_t>(i - base);
-          ++npend;
-        }
-      }
-      if (npend > 0) {
-        k.gcs_sub_sign_block(h.i, h.s, pend_item, npend, subbuckets_, sub_mask,
-                             pend_slot);
-        for (size_t j = 0; j < npend; ++j) packed[pend_pos[j]] = pend_slot[j];
-      }
-      // Pass 2: apply in input order with the group row cached across runs.
+      const RepHash& h = rep_hash_[r];
+      k.gcs_sub_sign_block(h.i, h.s, block_items, len, subbuckets_, sub_mask,
+                           packed);
       uint64_t cached_group = ~uint64_t{0};
       double* row = nullptr;
-      for (size_t i = base; i < end; ++i) {
-        const uint64_t item = items[i];
-        const uint64_t group = group_shift >= 64 ? 0 : item >> group_shift;
+      for (size_t i = 0; i < len; ++i) {
+        const uint64_t group =
+            group_shift >= 64 ? 0 : block_items[i] >> group_shift;
         if (group != cached_group || row == nullptr) {
           cached_group = group;
           row = rep_row + (Hash2(h.g, group % kPrime) % buckets_) * subbuckets_;
         }
-        const uint32_t slot = packed[i - base];
-        const double value = values[i];
+        const uint32_t slot = packed[i];
+        const double value = block_values[i];
         row[slot & 0x7FFFFFFFu] += (slot >> 31) != 0 ? value : -value;
       }
     }

@@ -21,9 +21,10 @@ namespace wavemr {
 /// laid out for throughput: each repetition's three polynomial hashes live
 /// in one flat 64-byte record (no per-call vector indirection), Update
 /// resolves the repetition's bucket row pointer once, and UpdateBatch
-/// amortizes the group hash across runs of items sharing a group (sorted
-/// batches -- the wavelet hierarchy's natural order -- hash each group
-/// once per repetition).
+/// hashes items a block at a time through the active SIMD tier's
+/// gcs_sub_sign_block kernel and amortizes the group hash across runs of
+/// items sharing a group (sorted batches -- the wavelet hierarchy's natural
+/// order -- hash each group once per repetition).
 class GroupCountSketch {
  public:
   /// Median buffers in the query path live on the stack; reps is tiny in
@@ -57,26 +58,7 @@ class GroupCountSketch {
   double CounterAt(size_t flat_index) const { return table_[flat_index]; }
   void AddToCounter(size_t flat_index, double delta) { table_[flat_index] += delta; }
 
-  /// Items below this bound get their per-repetition (sub-bucket, sign)
-  /// hash results memoized on first touch. The wavelet hierarchy feeds
-  /// UpdateBatch error-tree paths whose low coefficient indices (the top
-  /// levels of the tree) repeat across every data point's path, so most
-  /// Hash2/Hash4 work in Send-Sketch's map phase hits the memo.
-  static constexpr uint64_t kMemoItems = 1024;
-
  private:
-  template <bool kPow2Sub>
-  void UpdateBatchImpl(const uint64_t* items, const double* values, size_t n,
-                       uint32_t group_shift);
-
-  /// SIMD-tier batch update (core/simd.h): hashes memo-missing items through
-  /// the active vector kernel 4 lanes at a time, then applies the adds in the
-  /// scalar loop's exact per-cell order, so the table stays bit-identical to
-  /// UpdateBatchImpl for any input. Requires subbuckets_ <= 2^30 (the packed
-  /// slot bound); UpdateBatch falls back to the scalar path otherwise.
-  void UpdateBatchSimd(const struct SimdKernels& k, const uint64_t* items,
-                       const double* values, size_t n, uint32_t group_shift);
-
   /// One repetition's hash functions, flattened: the 2-wise group and item
   /// polynomials and the 4-wise sign polynomial, coefficients c0-first.
   /// Exactly the coefficients PolyHash would draw, so hash values (and
@@ -102,14 +84,6 @@ class GroupCountSketch {
   std::vector<RepHash> rep_hash_;
   RepHashLanes lanes_;
   std::vector<double> table_;  // reps x buckets x subbuckets
-
-  /// Lazily built memo, reps x kMemoItems: bit 31 = sign, low bits = the
-  /// item's sub-bucket. kMemoEmpty marks an unfilled slot. Values are the
-  /// exact Hash2/Hash4 results, so memoized updates are bit-identical to
-  /// recomputed ones. Instances are task-private (one sketch per mapper),
-  /// so the memo needs no synchronization.
-  static constexpr uint32_t kMemoEmpty = 0xFFFFFFFFu;
-  std::vector<uint32_t> item_memo_;
 };
 
 }  // namespace wavemr

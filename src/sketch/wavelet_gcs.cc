@@ -76,7 +76,7 @@ void WaveletGcs::UpdateSortedData(const uint64_t* keys, const double* weights,
   // are produced level by level exactly as SparseHaar produces them (same
   // kernel, same per-coefficient add order: ascending keys), and each merged
   // level is one ascending batch per sketch level, which maximizes the
-  // group-hash reuse and the low-index memo in UpdateBatch.
+  // group-hash reuse in UpdateBatch.
   const double sqrt_u = std::sqrt(static_cast<double>(u_));
   double average = 0.0;
   for (size_t i = 0; i < n; ++i) {

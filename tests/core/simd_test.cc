@@ -93,22 +93,6 @@ TEST(SimdDispatchTest, OverrideRoundTrips) {
   EXPECT_EQ(SimdK().tier, ActiveSimdTier());
 }
 
-TEST(SimdKernelTest, MulMod61X4MatchesScalarReference) {
-  const std::vector<uint64_t> ops = HashOperands();
-  for (SimdTier tier : RunnableTiers()) {
-    const SimdKernels& k = SimdKernelsFor(tier);
-    for (size_t i = 0; i + 8 <= ops.size(); i += 8) {
-      uint64_t out[4];
-      k.mulmod61_x4(&ops[i], &ops[i + 4], out);
-      for (int l = 0; l < 4; ++l) {
-        ASSERT_EQ(out[l], MulMod61(ops[i + l], ops[i + 4 + l]))
-            << "tier=" << SimdTierName(tier) << " a=" << ops[i + l]
-            << " b=" << ops[i + 4 + l];
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, Hash2AndHash4MatchPolyHashBitForBit) {
   Rng rng(77);
   for (SimdTier tier : RunnableTiers()) {
@@ -140,6 +124,19 @@ TEST(SimdKernelTest, Hash2AndHash4MatchPolyHashBitForBit) {
         ASSERT_EQ(out4[l], deg4[l].Hash(x[l])) << SimdTierName(tier);
       }
     }
+    // With c0 = 0 the degree-2 hash is a bare modular multiply, so the
+    // limb-decomposition boundary operands hit the vector MulMod61 directly.
+    const std::vector<uint64_t> ops = HashOperands();
+    const uint64_t zero[4] = {0, 0, 0, 0};
+    for (size_t i = 0; i + 8 <= ops.size(); i += 8) {
+      uint64_t out[4];
+      k.hash2_x4(zero, &ops[i], &ops[i + 4], out);
+      for (int l = 0; l < 4; ++l) {
+        ASSERT_EQ(out[l], MulMod61(ops[i + l], ops[i + 4 + l]))
+            << "tier=" << SimdTierName(tier) << " a=" << ops[i + l]
+            << " b=" << ops[i + 4 + l];
+      }
+    }
   }
 }
 
@@ -157,46 +154,17 @@ TEST(SimdKernelTest, GcsSubSignMatchesScalarForPow2AndNonPow2) {
       uint64_t ci[2] = {hi.coeffs()[0], hi.coeffs()[1]};
       uint64_t cs[4] = {hs.coeffs()[0], hs.coeffs()[1], hs.coeffs()[2],
                         hs.coeffs()[3]};
-      for (int trial = 0; trial < 32; ++trial) {
-        // Full-range items: the kernel owns the % kPrime reduction.
-        uint64_t items[4] = {rng.NextU64(), rng.NextU64() % 4096,
-                             rng.NextU64(), kPrime + trial};
-        uint32_t got[4], want[4];
-        k.gcs_sub_sign_x4(ci, cs, items, subbuckets, sub_mask, got);
-        ref.gcs_sub_sign_x4(ci, cs, items, subbuckets, sub_mask, want);
-        for (int l = 0; l < 4; ++l) {
-          ASSERT_EQ(got[l], want[l])
-              << SimdTierName(tier) << " subbuckets=" << subbuckets;
-          // Cross-check the packed fields against PolyHash directly.
-          const uint64_t ir = items[l] % kPrime;
-          const uint64_t sub = hi.Hash(ir) % subbuckets;
-          const bool positive = (hs.Hash(ir) & 1) != 0;
-          ASSERT_EQ(got[l] & 0x7FFFFFFFu, sub);
-          ASSERT_EQ((got[l] >> 31) != 0, positive);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, GcsSubSignBlockMatchesX4AndScalar) {
-  Rng rng(321);
-  for (SimdTier tier : RunnableTiers()) {
-    const SimdKernels& k = SimdKernelsFor(tier);
-    const SimdKernels& ref = SimdKernelsFor(SimdTier::kScalar);
-    for (uint64_t subbuckets : {uint64_t{8}, uint64_t{6}, uint64_t{1000}}) {
-      const bool pow2 = (subbuckets & (subbuckets - 1)) == 0;
-      const uint64_t sub_mask = pow2 ? subbuckets - 1 : 0;
-      PolyHash hi(rng.NextU64(), 2);
-      PolyHash hs(rng.NextU64(), 4);
-      uint64_t ci[2] = {hi.coeffs()[0], hi.coeffs()[1]};
-      uint64_t cs[4] = {hs.coeffs()[0], hs.coeffs()[1], hs.coeffs()[2],
-                        hs.coeffs()[3]};
       // All tail lengths around the vector widths, plus a block-sized run.
       for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
                        size_t{5}, size_t{7}, size_t{8}, size_t{801}}) {
+        // Full-range items, small ones and residues just past the prime:
+        // the kernel owns the % kPrime reduction.
         std::vector<uint64_t> items(n);
-        for (uint64_t& x : items) x = rng.NextU64();
+        for (size_t i = 0; i < n; ++i) {
+          items[i] = i % 4 == 1   ? rng.NextU64() % 4096
+                     : i % 4 == 2 ? kPrime + i
+                                  : rng.NextU64();
+        }
         std::vector<uint32_t> got(n + 1, 0xDEADBEEFu);
         std::vector<uint32_t> want(n + 1, 0xDEADBEEFu);
         k.gcs_sub_sign_block(ci, cs, items.data(), n, subbuckets, sub_mask,
@@ -207,7 +175,7 @@ TEST(SimdKernelTest, GcsSubSignBlockMatchesX4AndScalar) {
           ASSERT_EQ(got[i], want[i]) << SimdTierName(tier)
                                      << " subbuckets=" << subbuckets
                                      << " n=" << n << " i=" << i;
-          // Block form must agree with the x4 form's packed contract too.
+          // Cross-check the packed fields against PolyHash directly.
           const uint64_t ir = items[i] % kPrime;
           ASSERT_EQ(got[i] & 0x7FFFFFFFu, hi.Hash(ir) % subbuckets);
           ASSERT_EQ((got[i] >> 31) != 0, (hs.Hash(ir) & 1) != 0);

@@ -1,18 +1,22 @@
 // Equi-depth reduce partitioning: MergeCut / CutForRank boundary-selection
 // properties, spilled-vs-resident boundary agreement, the all-equal-keys
-// regression, and bit-identity of DeliverSortedMerge under steal-heavy
-// schedules. The load-balance claim under test: boundaries at exact global
-// ranks r*n/R hold every range within one pair of n/R no matter how skewed
-// the key distribution is -- Zipf, constant, or adversarial.
+// regression, bit-identity of DeliverSortedMerge under many-slice
+// schedules, and its error paths. The load-balance claim under test:
+// boundaries at exact global ranks r*n/R hold every range within one pair
+// of n/R no matter how skewed the key distribution is -- Zipf, constant, or
+// adversarial.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/failpoint.h"
 #include "core/rng.h"
 #include "mapreduce/job.h"
 #include "mapreduce/shuffle.h"
@@ -218,7 +222,7 @@ struct DeliverOutcome {
 
 DeliverOutcome Deliver(const std::vector<std::vector<uint64_t>>& key_sets,
                        int reduce_tasks, int pool_threads,
-                       uint64_t spill_budget, uint64_t steal_slice_pairs) {
+                       uint64_t spill_budget, uint64_t slice_pairs) {
   MrEnv env;
   Plane plane(WirePairs, true, SpillPolicy{spill_budget},
               spill_budget > 0 ? &env.spill_dir : nullptr);
@@ -229,7 +233,7 @@ DeliverOutcome Deliver(const std::vector<std::vector<uint64_t>>& key_sets,
       [&out](const uint64_t& k, const uint64_t& v) {
         out.stream.emplace_back(k, v);
       },
-      steal_slice_pairs);
+      slice_pairs);
   return out;
 }
 
@@ -242,7 +246,7 @@ TEST(EquiDepthTest, AllEqualKeysStillSplitAcrossRanges) {
   for (int threads : {1, 4}) {
     const DeliverOutcome out = Deliver(key_sets, /*reduce_tasks=*/4, threads,
                                        /*spill_budget=*/0,
-                                       /*steal_slice_pairs=*/0);
+                                       /*slice_pairs=*/0);
     EXPECT_EQ(out.result.reduce_tasks_used, 4) << "threads " << threads;
     EXPECT_EQ(out.result.range_max_pairs, 250u) << "threads " << threads;
     EXPECT_EQ(out.result.range_min_pairs, 250u) << "threads " << threads;
@@ -254,9 +258,9 @@ TEST(EquiDepthTest, AllEqualKeysStillSplitAcrossRanges) {
 }
 
 // Bit-identity across every (threads, reduce_tasks, spill, slice size)
-// combination, including slice sizes small enough to force steal-heavy
-// schedules: the delivered stream must equal the single full merge.
-TEST(EquiDepthTest, WorkStealingSchedulesAreBitIdenticalToSingleMerge) {
+// combination, including slice sizes small enough that workers park at the
+// staging cap: the delivered stream must equal the single full merge.
+TEST(EquiDepthTest, SliceSchedulesAreBitIdenticalToSingleMerge) {
   auto key_sets = ZipfKeySets(31, 5, 300, 1u << 28);
   const DeliverOutcome reference =
       Deliver(key_sets, /*reduce_tasks=*/1, /*pool_threads=*/1, 0, 0);
@@ -286,6 +290,84 @@ TEST(EquiDepthTest, RangeLoadStatsReportExactPlannedCounts) {
   EXPECT_EQ(out.result.range_max_pairs, 3u);  // 7 = 2 + 3 + 2 at ranks 2,4
   EXPECT_EQ(out.result.range_min_pairs, 2u);
   EXPECT_EQ(out.stream.size(), 7u);
+  // n < R plans the excess ranges empty: 2 = 0 + 1 + 0 + 1.
+  const DeliverOutcome tiny = Deliver({{4, 9}}, 4, 4, 0, 0);
+  EXPECT_EQ(tiny.result.range_max_pairs, 1u);
+  EXPECT_EQ(tiny.result.range_min_pairs, 0u);
+  EXPECT_EQ(tiny.stream, (std::vector<Pair>{{4, 0}, {9, 1}}));
+}
+
+// ---------------------------------------------------------------------------
+// Parallel delivery error paths. threads=4, R=4 and 7-pair slices keep many
+// slices in flight, so workers sit parked at the staging cap when the error
+// lands; every path must stop them, surface the first error on the driver
+// and leave no spill file behind.
+// ---------------------------------------------------------------------------
+
+size_t FilesIn(const SpillDir& dir) {
+  if (!dir.created()) return 0;
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    (void)entry;
+    ++files;
+  }
+  return files;
+}
+
+class EquiDepthErrorTest : public ::testing::Test {
+ protected:
+  void TearDown() override { Failpoints::DisarmAll(); }
+};
+
+TEST_F(EquiDepthErrorTest, ReducerThrowOnDriverStopsWorkersAndRethrows) {
+  const auto key_sets = ZipfKeySets(43, 6, 400, 1u << 24);
+  MrEnv env;
+  {
+    Plane plane(WirePairs, true, SpillPolicy{512}, &env.spill_dir);
+    FillPlane(&plane, SequencedRuns(key_sets));
+    ASSERT_GT(plane.spill_files(), 0u);
+    uint64_t absorbed = 0;
+    try {
+      internal::DeliverSortedMerge(
+          plane, &env, /*reduce_tasks=*/4, /*pool_threads=*/4,
+          [&absorbed](const uint64_t&, const uint64_t&) {
+            if (++absorbed == 100) throw std::runtime_error("reducer failed");
+          },
+          /*slice_pairs=*/7);
+      FAIL() << "reducer exception was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "reducer failed");
+    }
+    EXPECT_EQ(absorbed, 100u) << "driver absorbed past the throw";
+  }
+  EXPECT_EQ(FilesIn(env.spill_dir), 0u);
+}
+
+TEST_F(EquiDepthErrorTest, WorkerSpillReadErrorReachesDriver) {
+  const auto key_sets = ZipfKeySets(47, 6, 400, 1u << 24);
+  MrEnv env;
+  {
+    Plane plane(WirePairs, true, SpillPolicy{512}, &env.spill_dir);
+    FillPlane(&plane, SequencedRuns(key_sets));
+    ASSERT_GT(plane.spill_files(), 0u);
+    // EIO is permanent, so the Nth read fails without a retry. Some reads
+    // succeed first: the error lands mid-stream, not on the first cut.
+    if (!Failpoints::ArmFromSpec("spill.read.read=every:40:EIO").ok()) {
+      GTEST_SKIP() << "failpoints compiled out";
+    }
+    uint64_t absorbed = 0;
+    EXPECT_THROW(internal::DeliverSortedMerge(
+                     plane, &env, /*reduce_tasks=*/4, /*pool_threads=*/4,
+                     [&absorbed](const uint64_t&, const uint64_t&) {
+                       ++absorbed;
+                     },
+                     /*slice_pairs=*/7),
+                 SpillIoError);
+    EXPECT_GT(Failpoints::StatsFor("spill.read.read").trips, 0u);
+    EXPECT_LT(absorbed, plane.pairs());
+    Failpoints::DisarmAll();
+  }
+  EXPECT_EQ(FilesIn(env.spill_dir), 0u);
 }
 
 }  // namespace

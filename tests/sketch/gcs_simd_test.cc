@@ -2,8 +2,9 @@
 // (core/simd.h): the scalar table is the reference, and any vector tier the
 // host can run must produce exactly the same counters, energies, and
 // estimates. Complements tests/core/simd_test.cc (raw kernels) by exercising
-// the integrated sketch paths: memo hits and misses, pow2 and non-pow2
-// sub-bucket widths, short wavelet-style batches and long sorted ones.
+// the integrated sketch paths: repeated low items and spread-out ones, pow2
+// and non-pow2 sub-bucket widths, short wavelet-style batches and long
+// sorted ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,8 +29,8 @@ struct BatchInput {
   std::vector<double> values;
 };
 
-// Items deliberately straddle the memo bound (kMemoItems = 1024): runs of
-// low repeated indices (the wavelet error-tree shape) plus high random ones.
+// Runs of low repeated indices (the wavelet error-tree shape) plus high
+// random ones.
 BatchInput MakeInput(uint64_t seed, size_t n, uint64_t domain) {
   BatchInput in;
   Rng rng(seed);
@@ -46,8 +47,8 @@ GroupCountSketch BuildUnderTier(SimdTier tier, size_t subbuckets,
                                 const BatchInput& in, size_t chunk) {
   SimdTierGuard guard(tier);
   GroupCountSketch sketch(4242, 5, 32, subbuckets);
-  // Feed in chunks so partial vector lane groups (chunk % 4 != 0) and the
-  // memo warm-up both get exercised.
+  // Feed in chunks so partial vector lane groups (chunk % 4 != 0) and
+  // partial 256-item blocks both get exercised.
   for (size_t base = 0; base < in.items.size(); base += chunk) {
     const size_t n = std::min(chunk, in.items.size() - base);
     sketch.UpdateBatch(in.items.data() + base, in.values.data() + base, n, 3);
@@ -114,9 +115,9 @@ TEST(GcsSimdTierTest, QueriesBitIdenticalAcrossTiers) {
 }
 
 TEST(GcsSimdTierTest, NonPow2AndWideSubbucketsStayOnScalarContract) {
-  // subbuckets > 2^30 exceeds the packed-slot bound, so UpdateBatch must
-  // take the scalar path; with a tiny sketch we can only pin the guard's
-  // behavior for non-pow2 widths, which share the % reduction.
+  // Non-pow2 widths take the kernel's % reduction instead of the mask; the
+  // batch must still equal the per-item Update loop. (Widths above 2^30 do
+  // not fit the packed slot and are rejected at construction.)
   const BatchInput in = MakeInput(41, 600, uint64_t{1} << 13);
   SimdTierGuard guard(BestSimdTier());
   GroupCountSketch loop(11, 3, 8, 12), batch(11, 3, 8, 12);

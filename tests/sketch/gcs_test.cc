@@ -116,6 +116,13 @@ TEST(GroupCountSketchTest, LargeGroupShiftMapsEverythingToGroupZero) {
   }
 }
 
+// UpdateBatch packs a sub-bucket index and a sign into 32 bits, so wider
+// sub-bucket rows are refused up front (before the table is allocated).
+TEST(GroupCountSketchDeathTest, RejectsSubbucketsPastPackedSlot) {
+  EXPECT_DEATH(GroupCountSketch(1, 1, 1, (size_t{1} << 30) + 1),
+               "31-bit packed slot");
+}
+
 // ---------------------------------------------------------------------------
 // Hierarchical wavelet GCS
 // ---------------------------------------------------------------------------
